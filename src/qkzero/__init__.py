@@ -16,8 +16,6 @@ from .descendents import (
     DescendentEngine,
     DescendentIndex,
     descendent_euler,
-    one_descendent_profile,
-    oracle_n4,
 )
 from .errors import (
     DuplicateEntry,

@@ -27,7 +27,6 @@ from .correlators import (
 from .descendents import descendent_euler
 from .errors import NotReducible, QKError
 from .frobenius import (
-    ResidualSummary,
     assemble_potential,
     build_frobenius_data,
     classical_limit_residual,
@@ -60,7 +59,6 @@ class RunConfig:
     desc_order: int = 0
     input_path: str | None = None
     output_path: str | None = None
-    seed: int = 0
 
     def validate_orders(self, need_potential: bool) -> None:
         if min(self.t_order, self.novikov_order, self.desc_order) < 0:
@@ -70,7 +68,11 @@ class RunConfig:
 
 
 def _emit(config: RunConfig, doc: dict, summary: str) -> None:
-    text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    _write(config, json.dumps(doc, indent=2, sort_keys=True) + "\n", summary)
+
+
+def _write(config: RunConfig, text: str, summary: str) -> None:
+    """The report to --output or stdout, then the summary to stderr."""
     if config.output_path:
         with open(config.output_path, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -115,16 +117,12 @@ def _resolve_table(config: RunConfig) -> tuple[KRingPresentation, CorrelatorTabl
     return ring, CorrelatorTable.empty(ring, degree_rank, target_doc)
 
 
-def _summary_doc(summary: ResidualSummary) -> dict:
-    return summary.to_json_dict()
-
-
 def cmd_descendent(config: RunConfig, raw_index: str | None) -> int:
     if config.input_path:
         with open(config.input_path, encoding="utf-8") as fh:
             batch = json.load(fh)
         if not isinstance(batch, list) or not all(
-                isinstance(idx, list) and all(isinstance(d, int) for d in idx)
+                isinstance(idx, list) and all(type(d) is int for d in idx)
                 for idx in batch):
             print("batch file must be a JSON array of integer arrays",
                   file=sys.stderr)
@@ -139,13 +137,8 @@ def cmd_descendent(config: RunConfig, raw_index: str | None) -> int:
                 any_irreducible = True
             lines.append(json.dumps({"index": idx, "value": value},
                                     sort_keys=True))
-        out = "\n".join(lines) + "\n"
-        if config.output_path:
-            with open(config.output_path, "w", encoding="utf-8") as fh:
-                fh.write(out)
-        else:
-            sys.stdout.write(out)
-        print(f"evaluated {len(batch)} descendent indices", file=sys.stderr)
+        _write(config, "\n".join(lines) + "\n",
+               f"evaluated {len(batch)} descendent indices")
         return EXIT_NOT_REDUCIBLE if any_irreducible else EXIT_OK
     if raw_index is None:
         print("give an index like 2,3,0,1 or --input batch.json", file=sys.stderr)
@@ -197,15 +190,15 @@ def cmd_frobenius_check(config: RunConfig) -> int:
                 "q0_classical": classical.window,
             },
         },
-        "wdvv": _summary_doc(wdvv),
+        "wdvv": wdvv.to_json_dict(),
         "flatness": {
-            "r1": _summary_doc(flat.r1),
-            "r2": _summary_doc(flat.r2),
-            "metric": _summary_doc(flat.metric),
+            "r1": flat.r1.to_json_dict(),
+            "r2": flat.r2.to_json_dict(),
+            "metric": flat.metric.to_json_dict(),
         },
-        "levicivita": _summary_doc(flat.levi_civita),
-        "unit": _summary_doc(unit),
-        "q0_classical": _summary_doc(classical),
+        "levicivita": flat.levi_civita.to_json_dict(),
+        "unit": unit.to_json_dict(),
+        "q0_classical": classical.to_json_dict(),
     }
     all_zero = (wdvv.is_zero and flat.is_zero and unit.is_zero
                 and classical.is_zero)
@@ -240,10 +233,10 @@ def cmd_qde_check(config: RunConfig) -> int:
     doc = {
         "certified_window": residuals[0].window,
         "qde_residuals": [
-            {"k": k, **_summary_doc(s)} for k, s in enumerate(residuals)
+            {"k": k, **s.to_json_dict()} for k, s in enumerate(residuals)
         ],
         "gwdvv_residuals": [
-            {"pair": list(pair), **_summary_doc(s)} for pair, s in gwdvv
+            {"pair": list(pair), **s.to_json_dict()} for pair, s in gwdvv
         ],
         "complete": complete,
     }
@@ -294,8 +287,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="input JSON document")
     shared.add_argument("--output", dest="output_path",
                         help="write the JSON report here instead of stdout")
-    shared.add_argument("--seed", type=int, default=0,
-                        help="seed for randomized suites; fixed default")
 
     sub = parser.add_subparsers(dest="command", required=True)
     p_desc = sub.add_parser("descendent", parents=[shared],
@@ -332,7 +323,6 @@ def main(argv: list[str] | None = None) -> int:
         desc_order=args.desc_order,
         input_path=args.input_path,
         output_path=args.output_path,
-        seed=args.seed,
     )
     try:
         if config.command == "descendent":

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from itertools import combinations_with_replacement
 from typing import Iterable, Iterator
 
 from .descendents import descendent_euler
@@ -145,7 +144,9 @@ def ring_from_target(target_doc: object) -> KRingPresentation:
 
 
 def _parse_insertions(raw: object, rank: int) -> tuple[int, ...]:
-    if not isinstance(raw, list) or not all(isinstance(i, int) for i in raw):
+    # type() rather than isinstance(): JSON true and false load as bool, an
+    # int subclass, and are not class indices.
+    if not isinstance(raw, list) or not all(type(i) is int for i in raw):
         raise SchemaError(f"insertions must be a list of integers, got {raw!r}")
     if any(i < 0 or i >= rank for i in raw):
         raise SchemaError(f"insertion index out of range 0..{rank - 1}: {raw!r}")
@@ -187,9 +188,9 @@ def load_correlators(doc: object) -> CorrelatorTable:
         if not isinstance(marked_doc, dict) or set(marked_doc) != {"class", "power"}:
             raise SchemaError(f"marked insertion must give 'class' and 'power': {item!r}")
         cls_idx, power = marked_doc["class"], marked_doc["power"]
-        if not isinstance(cls_idx, int) or cls_idx < 0 or cls_idx >= ring.rank:
+        if type(cls_idx) is not int or cls_idx < 0 or cls_idx >= ring.rank:
             raise SchemaError(f"marked class out of range: {cls_idx!r}")
-        if not isinstance(power, int) or power < 0:
+        if type(power) is not int or power < 0:
             raise SchemaError(f"marked power must be a non-negative integer: {power!r}")
         if all(b == 0 for b in beta) and len(ins) + 1 < 3:
             raise SchemaError(

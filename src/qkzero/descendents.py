@@ -96,8 +96,7 @@ class DescendentEngine:
             elif lowest == 1:
                 result = (index.n - 2) * self.value(DescendentIndex(rest))
             else:
-                raise NotReducible(
-                    f"E({index.n}; {list(exps)}): every power is >= 2")
+                raise NotReducible(exps, exps)
             for child in _ladder(rest):
                 result += self.value(DescendentIndex(child))
         self._memo[index] = result
@@ -111,25 +110,13 @@ _DEFAULT_ENGINE = DescendentEngine()
 
 
 def descendent_euler(exponents: Iterable[int]) -> int:
-    """E(n; d) via the shared memoized engine."""
-    return _DEFAULT_ENGINE.value(DescendentIndex(tuple(exponents)))
+    """E(n; d) via the shared memoized engine.
 
-
-def oracle_n4(exponents: Iterable[int]) -> int:
-    """Independent four-point value: the moduli space is a projective line
-    where each cotangent line has degree one, so by Riemann-Roch
-
-        E(4; d) = d_1 + d_2 + d_3 + d_4 + 1.
+    NotReducible names the index as given, not the internal child where the
+    reduction stopped.
     """
-    exps = tuple(int(d) for d in exponents)
-    if len(exps) != 4 or any(d < 0 for d in exps):
-        raise ValueError("need four non-negative powers")
-    return sum(exps) + 1
-
-
-def one_descendent_profile(n: int, dmax: int) -> list[int]:
-    """[E(n; 0,...,0,d) for d in 0..dmax]: the single-descendent column used
-    by the fundamental solution of the quantum differential equation."""
-    if n < 3:
-        raise ValueError("need at least three marked points")
-    return [descendent_euler((0,) * (n - 1) + (d,)) for d in range(dmax + 1)]
+    given = tuple(exponents)
+    try:
+        return _DEFAULT_ENGINE.value(DescendentIndex(given))
+    except NotReducible as exc:
+        raise NotReducible(given, exc.reached) from None

@@ -37,7 +37,21 @@ class ModuliNonexistent(QKError):
 
 
 class NotReducible(QKError):
-    """A descendent index outside the closure of the string/dilaton reduction."""
+    """A descendent index outside the closure of the string/dilaton reduction.
+
+    Carries the index as requested and the index, every power >= 2, where the
+    reduction stopped; the two differ when the request has a 0 or 1 power.
+    """
+
+    def __init__(self, requested: tuple[int, ...], reached: tuple[int, ...]):
+        self.requested = requested
+        self.reached = reached
+        label = f"E({len(requested)}; {list(requested)}) is not reducible: "
+        if sorted(requested) == sorted(reached):
+            label += "every power is >= 2"
+        else:
+            label += f"reduction reaches E({len(reached)}; {list(reached)})"
+        super().__init__(label)
 
 
 class SchemaError(QKError):

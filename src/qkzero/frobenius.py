@@ -31,7 +31,6 @@ from .series import (
     SeriesSpec,
     TruncatedSeries,
     format_rational,
-    matrix_inverse_direct,
     matrix_inverse_geometric,
 )
 
@@ -161,14 +160,13 @@ def _third_derivatives(gmetric: SeriesMatrix
     )
 
 
-def product_tensor(gmetric: SeriesMatrix, ginv: SeriesMatrix,
-                   potential: Potential
+def product_tensor(third: tuple[tuple[tuple[TruncatedSeries, ...], ...], ...],
+                   ginv: SeriesMatrix
                    ) -> tuple[tuple[tuple[tuple[TruncatedSeries, ...], ...], ...],
                               tuple[SeriesMatrix, ...]]:
-    """Structure constants c_{ij}^k and the matrices A_k of multiplication by
-    e_k, both certified to t-order T-3."""
-    rank = potential.ring.rank
-    third = _third_derivatives(gmetric)
+    """Structure constants c_{ij}^k = sum_mu G_{ij mu} (G^{-1})^{mu k} and the
+    matrices A_k of multiplication by e_k, both certified to t-order T-3."""
+    rank = len(third)
     spec3 = third[0][0][0].spec
     ginv3 = ginv.truncated(t_order=spec3.t_order)
     c = tuple(
@@ -202,20 +200,20 @@ def _sum_series(spec: SeriesSpec, items) -> TruncatedSeries:
 def build_frobenius_data(potential: Potential) -> FrobeniusData:
     """Full pipeline from a potential.
 
-    The inverse metric is produced by the geometric series in g^{-1} times
-    the positive-degree part and cross-checked against direct elimination;
-    the two routes share nothing beyond series arithmetic, so agreement
-    certifies both.
+    The inverse metric is the geometric series in g^{-1} times the
+    positive-degree part, certified by the exact product G * G^{-1} = I.
+    Monomials outside the window form an ideal, so truncated series form a
+    commutative ring, where a one-sided inverse of a square matrix is
+    two-sided: the check is a proof, given correct multiplication.
     """
     gmetric = quantized_metric(potential)
     ginv = matrix_inverse_geometric(gmetric)
-    ginv_direct = matrix_inverse_direct(gmetric)
-    if ginv != ginv_direct:
+    if gmetric * ginv != SeriesMatrix.identity(gmetric.spec, gmetric.dimension):
         raise ArithmeticError(
-            "geometric-series and elimination inverses disagree; "
-            "series arithmetic is corrupted")
-    c, a_matrices = product_tensor(gmetric, ginv, potential)
+            "G * G^-1 is not the identity; the inverse or the series "
+            "arithmetic is wrong")
     third = _third_derivatives(gmetric)
+    c, a_matrices = product_tensor(third, ginv)
     return FrobeniusData(
         ring=potential.ring,
         degree_rank=potential.degree_rank,

@@ -37,6 +37,14 @@ def test_descendent_single_irreducible(capsys):
     assert out == "NotReducible\n"
 
 
+def test_descendent_irreducible_names_requested_index(capsys):
+    code, out, err = run_cli(["descendent", "0,2,2,2,2"], capsys)
+    assert code == 2
+    assert out == "NotReducible\n"
+    assert err == ("E(5; [0, 2, 2, 2, 2]) is not reducible: "
+                   "reduction reaches E(4; [2, 2, 2, 2])\n")
+
+
 def test_descendent_requires_index_or_batch(capsys):
     code, out, err = run_cli(["descendent"], capsys)
     assert code == 1
@@ -69,6 +77,15 @@ def test_descendent_batch_rejects_malformed(tmp_path, capsys):
     assert code == 1
     assert out == ""
     assert "array of integer arrays" in err
+
+
+def test_descendent_batch_rejects_booleans(tmp_path, capsys):
+    bad = tmp_path / "batch.json"
+    bad.write_text("[[true, 0, 0, 1]]")
+    code, out, err = run_cli(["descendent", "--input", str(bad)], capsys)
+    assert code == 1
+    assert out == ""
+    assert "batch file must be a JSON array of integer arrays" in err
 
 
 def test_potential_point_coefficients(capsys):
@@ -262,6 +279,7 @@ def test_target_must_agree_with_input_ring(tmp_path, capsys):
     ["potential", "--target", "point", "--q-order", "-1"],
     ["potential"],
     ["no-such-command"],
+    ["potential", "--target", "point", "--seed", "1"],
 ])
 def test_bad_invocations_exit_one(args, capsys):
     code, _, _ = run_cli(args, capsys)

@@ -125,6 +125,18 @@ def test_load_rejects_bad_insertion_index():
         load_correlators(doc)
 
 
+@pytest.mark.parametrize("entries, descendents", [
+    ([{"beta": [1], "insertions": [True, 1], "value": "1/1"}], []),
+    ([], [{"beta": [1], "insertions": [1], "value": "1/1",
+           "marked": {"class": True, "power": 2}}]),
+    ([], [{"beta": [1], "insertions": [1], "value": "1/1",
+           "marked": {"class": 0, "power": True}}]),
+], ids=["insertion", "marked-class", "marked-power"])
+def test_load_rejects_booleans(entries, descendents):
+    with pytest.raises(SchemaError):
+        load_correlators(_p1_table_doc(entries, descendents))
+
+
 def test_load_rejects_missing_field():
     doc = _p1_table_doc([])
     del doc["degree_rank"]

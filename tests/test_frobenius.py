@@ -9,6 +9,7 @@ from math import factorial
 
 import pytest
 
+import qkzero.frobenius as frobenius
 from qkzero import (
     CorrelatorTable,
     IncompleteTable,
@@ -149,10 +150,27 @@ def test_product_tensor_matches_pipeline():
     gm = quantized_metric(p)
     ginv = matrix_inverse_geometric(gm)
     assert ginv == matrix_inverse_direct(gm)
-    c, a_matrices = product_tensor(gm, ginv, p)
+    third = (((gm.entries[0][0].derivative("t0"),),),)
+    c, a_matrices = product_tensor(third, ginv)
     fd = build_frobenius_data(p)
+    assert fd.third == third
     assert c == fd.product
     assert a_matrices == fd.a_matrices
+
+
+def test_build_rejects_inverse_failing_certificate(monkeypatch):
+    # One wrong coefficient at the top of the window, the order an inverse
+    # summed from too few geometric terms would get wrong.
+    def wrong_inverse(mat):
+        rows = [list(row) for row in matrix_inverse_geometric(mat).entries]
+        rows[1][0] = rows[1][0] + TruncatedSeries.monomial(
+            mat.spec, {"t0": mat.spec.t_order}, Fraction(1, 7))
+        return SeriesMatrix(tuple(map(tuple, rows)))
+
+    monkeypatch.setattr(frobenius, "matrix_inverse_geometric", wrong_inverse)
+    table = empty_table(P1, 1, {"type": "projective", "n": 1})
+    with pytest.raises(ArithmeticError):
+        build_frobenius_data(assemble_potential(P1, table, 6, 0))
 
 
 def test_positive_degree_demands_table_data():
