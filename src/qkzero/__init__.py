@@ -14,7 +14,6 @@ from .correlators import (
 )
 from .descendents import (
     DescendentEngine,
-    DescendentIndex,
     descendent_euler,
 )
 from .errors import (

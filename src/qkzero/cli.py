@@ -147,11 +147,9 @@ def cmd_descendent(config: RunConfig, raw_index: str | None) -> int:
     try:
         value = descendent_euler(exponents)
     except NotReducible as exc:
-        sys.stdout.write("NotReducible\n")
-        print(str(exc), file=sys.stderr)
+        _write(config, "NotReducible\n", str(exc))
         return EXIT_NOT_REDUCIBLE
-    sys.stdout.write(f"{value}\n")
-    print(f"E({len(exponents)}; {exponents}) computed", file=sys.stderr)
+    _write(config, f"{value}\n", f"E({len(exponents)}; {exponents}) computed")
     return EXIT_OK
 
 

@@ -37,8 +37,10 @@ PlainKey = tuple[DegreeVector, tuple[int, ...]]
 MarkedKey = tuple[DegreeVector, tuple[int, ...], tuple[int, int]]
 
 
-def validate_degree(beta: Iterable[int], degree_rank: int) -> DegreeVector:
-    vec = tuple(int(b) for b in beta)
+def validate_degree(beta: object, degree_rank: int) -> DegreeVector:
+    if not isinstance(beta, (list, tuple)) or any(type(b) is not int for b in beta):
+        raise SchemaError(f"degree vector {beta!r} must be a list of integers")
+    vec = tuple(beta)
     if len(vec) != degree_rank:
         raise SchemaError(f"degree vector {list(vec)} has length != {degree_rank}")
     if any(b < 0 for b in vec):
@@ -133,7 +135,7 @@ def ring_from_target(target_doc: object) -> KRingPresentation:
     if kind == "point":
         return point_kring()
     if kind == "projective":
-        if "n" not in target_doc or not isinstance(target_doc["n"], int):
+        if "n" not in target_doc or type(target_doc["n"]) is not int:
             raise SchemaError("projective target needs an integer field 'n'")
         return projective_space_kring(target_doc["n"])
     if kind == "custom":
@@ -161,7 +163,7 @@ def load_correlators(doc: object) -> CorrelatorTable:
         raise SchemaError(f"correlator document missing fields: {sorted(missing)}")
     ring = ring_from_target(doc["target"])
     degree_rank = doc["degree_rank"]
-    if not isinstance(degree_rank, int) or degree_rank < 0:
+    if type(degree_rank) is not int or degree_rank < 0:
         raise SchemaError("degree_rank must be a non-negative integer")
 
     entries: dict[PlainKey, Fraction] = {}

@@ -29,78 +29,77 @@ so every E(3; *) = 1.  Indices with n >= 4 and every d_i >= 2 admit neither
 step and are reported as not reducible.  The reduction is confluent: any
 admissible choice of j gives the same value, so the engine fixes a canonical
 choice purely for determinism.
+
+Indices are plain ascending tuples, canonical memo keys.  Input is validated
+once per request, and the reduction runs on an explicit stack, so n is bounded
+by memory rather than by the interpreter's recursion limit.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable
 
 from .errors import NotReducible
 
 
-@dataclass(frozen=True)
-class DescendentIndex:
-    """A multiset of cotangent powers at n >= 3 marked points.
-
-    Exponents are stored sorted ascending, which both enforces symmetric-group
-    invariance structurally and makes memo keys canonical.
-    """
-
-    exponents: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        exps = tuple(sorted(int(d) for d in self.exponents))
-        if len(exps) < 3:
-            raise ValueError("need at least three marked points")
-        if any(d < 0 for d in exps):
-            raise ValueError("cotangent powers must be non-negative")
-        object.__setattr__(self, "exponents", exps)
-
-    @property
-    def n(self) -> int:
-        return len(self.exponents)
-
-
-def _ladder(rest: tuple[int, ...]) -> Iterable[tuple[int, ...]]:
-    """Children from lowering one surviving exponent by 1..d_i."""
+def _children(index: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """The forgetful child, then the ladder: each survivor lowered by 1..d_i."""
+    lowest, rest = index[0], index[1:]  # sorted order puts the reducible slot first
+    if lowest > 1:
+        raise NotReducible(index, index)
+    children = [rest]
     for i, d in enumerate(rest):
         for k in range(1, d + 1):
-            yield rest[:i] + (d - k,) + rest[i + 1 :]
+            children.append(tuple(sorted(rest[:i] + (d - k,) + rest[i + 1 :])))
+    return children
 
 
 class DescendentEngine:
-    """Memoized evaluator for E(n; d).
+    """Memoized iterative evaluator for E(n; d).
 
-    The memo maps each index to its finished integer value.  Entries are
-    written only after the value is fully computed and never mutated, so a
-    concurrent reader either misses (and recomputes the same pure value) or
-    sees a complete entry; partial states are unobservable.
+    The memo maps each ascending index tuple to its finished integer value.
+    Entries are written only after the value is fully computed and never
+    mutated, so a concurrent reader either misses (and recomputes the same
+    pure value) or sees a complete entry; partial states are unobservable.
     """
 
     def __init__(self) -> None:
-        self._memo: dict[DescendentIndex, int] = {}
+        self._memo: dict[tuple[int, ...], int] = {}
 
-    def value(self, index: DescendentIndex) -> int:
-        cached = self._memo.get(index)
-        if cached is not None:
-            return cached
-        exps = index.exponents
-        if index.n == 3:
-            result = 1
-        else:
-            lowest = exps[0]  # canonical point: sorted order puts the reducible slot first
-            rest = exps[1:]
-            if lowest == 0:
-                result = self.value(DescendentIndex(rest))
-            elif lowest == 1:
-                result = (index.n - 2) * self.value(DescendentIndex(rest))
+    def value(self, exponents: Iterable[int]) -> int:
+        """E(n; d) for >= 3 non-negative int powers in any order (else ValueError).
+
+        Children are expanded depth first in ``_children`` order, so
+        NotReducible names, ascending, the first all->=2 index reached.
+        """
+        given = tuple(exponents)
+        if any(type(d) is not int for d in given):
+            raise ValueError("cotangent powers must be integers")
+        if len(given) < 3:
+            raise ValueError("need at least three marked points")
+        if any(d < 0 for d in given):
+            raise ValueError("cotangent powers must be non-negative")
+        root = tuple(sorted(given))
+        memo = self._memo
+        # Each frame is an index and, once expanded, its children; a frame
+        # is finished when it comes back to the top of the stack.
+        stack: list[tuple[tuple[int, ...], list[tuple[int, ...]] | None]] = [(root, None)]
+        while stack:
+            index, children = stack.pop()
+            if index in memo:
+                continue
+            if len(index) == 3:
+                memo[index] = 1
+            elif children is None:
+                children = _children(index)
+                stack.append((index, children))
+                stack.extend((child, None) for child in reversed(children)
+                             if child not in memo)
             else:
-                raise NotReducible(exps, exps)
-            for child in _ladder(rest):
-                result += self.value(DescendentIndex(child))
-        self._memo[index] = result
-        return result
+                coefficient = 1 if index[0] == 0 else len(index) - 2
+                memo[index] = (coefficient * memo[children[0]]
+                               + sum(memo[c] for c in children[1:]))
+        return memo[root]
 
     def known(self) -> int:
         return len(self._memo)
@@ -117,6 +116,6 @@ def descendent_euler(exponents: Iterable[int]) -> int:
     """
     given = tuple(exponents)
     try:
-        return _DEFAULT_ENGINE.value(DescendentIndex(given))
+        return _DEFAULT_ENGINE.value(given)
     except NotReducible as exc:
         raise NotReducible(given, exc.reached) from None

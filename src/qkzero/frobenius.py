@@ -335,9 +335,8 @@ def flatness_residuals(fd: FrobeniusData) -> FlatnessReport:
             r2 = fd.a_matrices[i] * fd.a_matrices[j] - fd.a_matrices[j] * fd.a_matrices[i]
             spec4 = r1.spec
             # Curvature at the metric specialization z = 1/2: -z R1 + z^2 R2.
-            metric = (r1.scaled(TruncatedSeries.constant(spec4, Fraction(-1, 2)))
-                      + r2.truncated(t_order=spec4.t_order).scaled(
-                          TruncatedSeries.constant(spec4, Fraction(1, 4))))
+            metric = (r1.scaled(Fraction(-1, 2))
+                      + r2.truncated(t_order=spec4.t_order).scaled(Fraction(1, 4)))
             for a in range(rank):
                 for b in range(rank):
                     r1_pieces.append(({"pair": [i, j], "entry": [a, b]},
@@ -353,7 +352,7 @@ def flatness_residuals(fd: FrobeniusData) -> FlatnessReport:
     for k in range(rank):
         for i in range(rank):
             for j in range(rank):
-                lhs = fd.gmetric.entries[i][j].derivative(f"t{k}")
+                lhs = fd.third[i][j][k]
                 rhs = _sum_series(spec3, (
                     (fd.product[k][i][mu] * g3.entries[mu][j]
                      + fd.product[k][j][mu] * g3.entries[i][mu]).scaled(half)

@@ -100,11 +100,6 @@ class KRingPresentation:
         coords = tuple(Fraction(int(i == j)) for j in range(self.rank))
         return KClass(self, coords)
 
-    def pairing_inverse(self) -> tuple[tuple[Fraction, ...], ...]:
-        inv = try_rational_inverse(self.pairing)
-        assert inv is not None  # validated at construction
-        return tuple(tuple(row) for row in inv)
-
     def to_json_dict(self) -> dict:
         return {
             "rank": self.rank,
@@ -124,7 +119,7 @@ class KRingPresentation:
         labels = doc["labels"]
         if not isinstance(labels, list) or not all(isinstance(x, str) for x in labels):
             raise SchemaError("labels must be a list of strings")
-        if doc["rank"] != len(labels):
+        if type(doc["rank"]) is not int or doc["rank"] != len(labels):
             raise SchemaError("rank does not match number of labels")
         try:
             mult = tuple(

@@ -361,8 +361,9 @@ class TruncatedSeries:
         if not isinstance(vars_doc, dict) or set(vars_doc) != {"t", "Q", "q"}:
             raise SchemaError("vars must list the groups t, Q, q")
         t_vars, nov_vars = list(vars_doc["t"]), list(vars_doc["Q"])
-        spec = SeriesSpec(len(t_vars), len(nov_vars),
-                          int(trunc["t"]), int(trunc["Q"]), int(trunc["q"]))
+        if not isinstance(trunc, dict) or any(type(trunc.get(g)) is not int for g in "tQq"):
+            raise SchemaError(f"trunc must give integer orders t, Q, q: {trunc!r}")
+        spec = SeriesSpec(len(t_vars), len(nov_vars), trunc["t"], trunc["Q"], trunc["q"])
         if t_vars != list(spec.t_vars) or nov_vars != list(spec.novikov_vars) \
                 or list(vars_doc["q"]) != ["q"]:
             raise SchemaError("variables must be canonically named t0.., Q0.., q")
@@ -372,9 +373,11 @@ class TruncatedSeries:
         for item in terms:
             if not isinstance(item, dict) or set(item) != {"exp", "value"}:
                 raise SchemaError(f"malformed term: {item!r}")
-            exp = tuple(int(e) for e in item["exp"])
-            if len(exp) != spec.nvars or any(e < 0 for e in exp):
-                raise SchemaError(f"bad exponent {item['exp']!r}")
+            exp = item["exp"]
+            if (not isinstance(exp, list) or len(exp) != spec.nvars
+                    or any(type(e) is not int or e < 0 for e in exp)):
+                raise SchemaError(f"bad exponent {exp!r}")
+            exp = tuple(exp)
             if not spec.admits(exp):
                 raise SchemaError(f"exponent {item['exp']!r} exceeds stated truncation")
             if exp in coeffs:
@@ -487,9 +490,9 @@ class SeriesMatrix:
         if self.spec != other.spec:
             raise IncompatibleSeries("matrix specs differ")
 
-    def scaled(self, series: TruncatedSeries) -> "SeriesMatrix":
+    def scaled(self, value: "TruncatedSeries | RationalLike") -> "SeriesMatrix":
         return SeriesMatrix(tuple(
-            tuple(series * entry for entry in row) for row in self.entries
+            tuple(entry * value for entry in row) for row in self.entries
         ))
 
     def transpose(self) -> "SeriesMatrix":
@@ -542,7 +545,7 @@ def matrix_inverse_geometric(mat: SeriesMatrix) -> SeriesMatrix:
     spec = mat.spec
     g_inv_m = SeriesMatrix.from_rational_matrix(spec, g_inv)
     f = mat - SeriesMatrix.from_rational_matrix(spec, g)
-    minus_step = (g_inv_m * f).scaled(TruncatedSeries.constant(spec, -1))
+    minus_step = (g_inv_m * f).scaled(-1)
     acc = g_inv_m
     term = g_inv_m
     for _ in range(spec.budget()):

@@ -45,6 +45,14 @@ def test_descendent_irreducible_names_requested_index(capsys):
                    "reduction reaches E(4; [2, 2, 2, 2])\n")
 
 
+def test_descendent_deep_irreducible_exits_two(capsys):
+    index = ",".join(["0"] * 1200 + ["2"] * 4)
+    code, out, err = run_cli(["descendent", index], capsys)
+    assert code == 2
+    assert out == "NotReducible\n"
+    assert "reduction reaches E(4; [2, 2, 2, 2])" in err
+
+
 def test_descendent_requires_index_or_batch(capsys):
     code, out, err = run_cli(["descendent"], capsys)
     assert code == 1
@@ -253,13 +261,14 @@ def test_kring_info_requires_target(capsys):
 
 
 def test_output_file_mirrors_stdout(tmp_path, capsys):
-    args = ["frobenius-check", "--target", "point", "--t-order", "5"]
-    _, direct, _ = run_cli(args, capsys)
-    out_path = tmp_path / "report.json"
-    code, redirected, _ = run_cli(args + ["--output", str(out_path)], capsys)
-    assert code == 0
-    assert redirected == ""
-    assert out_path.read_text() == direct
+    for args in (["frobenius-check", "--target", "point", "--t-order", "5"],
+                 ["descendent", "2,3,0,1"]):
+        _, direct, _ = run_cli(args, capsys)
+        out_path = tmp_path / "report.json"
+        code, redirected, _ = run_cli(args + ["--output", str(out_path)], capsys)
+        assert code == 0
+        assert redirected == ""
+        assert out_path.read_text() == direct
 
 
 def test_target_must_agree_with_input_ring(tmp_path, capsys):

@@ -125,16 +125,21 @@ def test_load_rejects_bad_insertion_index():
         load_correlators(doc)
 
 
-@pytest.mark.parametrize("entries, descendents", [
-    ([{"beta": [1], "insertions": [True, 1], "value": "1/1"}], []),
-    ([], [{"beta": [1], "insertions": [1], "value": "1/1",
-           "marked": {"class": True, "power": 2}}]),
-    ([], [{"beta": [1], "insertions": [1], "value": "1/1",
-           "marked": {"class": 0, "power": True}}]),
-], ids=["insertion", "marked-class", "marked-power"])
-def test_load_rejects_booleans(entries, descendents):
+@pytest.mark.parametrize("doc", [
+    _p1_table_doc([{"beta": [1], "insertions": [True, 1], "value": "1/1"}]),
+    _p1_table_doc([], [{"beta": [1], "insertions": [1], "value": "1/1",
+                        "marked": {"class": True, "power": 2}}]),
+    _p1_table_doc([], [{"beta": [1], "insertions": [1], "value": "1/1",
+                        "marked": {"class": 0, "power": True}}]),
+    _p1_table_doc([{"beta": [1.9], "insertions": [1, 1], "value": "1/1"}]),
+    _p1_table_doc([{"beta": [True], "insertions": [1, 1], "value": "1/1"}]),
+    {**_p1_table_doc([]), "degree_rank": True},
+    {**_p1_table_doc([]), "target": {"type": "projective", "n": True}},
+], ids=["insertion", "marked-class", "marked-power", "beta-float", "beta-bool",
+        "degree-rank", "projective-n"])
+def test_load_rejects_booleans(doc):
     with pytest.raises(SchemaError):
-        load_correlators(_p1_table_doc(entries, descendents))
+        load_correlators(doc)
 
 
 def test_load_rejects_missing_field():

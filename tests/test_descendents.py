@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from qkzero import (
     DescendentEngine,
-    DescendentIndex,
     NotReducible,
     descendent_euler,
 )
@@ -43,11 +42,18 @@ def test_deep_irreducibility_propagates():
     assert excinfo.value.reached == (2, 2, 2, 2)
 
 
+def test_reached_index_follows_forgetful_child_first():
+    # The forgetful child (2,2,2,3) is stuck before the ladder reaches
+    # (2,2,2,2); the reported index depends on that visiting order.
+    with pytest.raises(NotReducible) as excinfo:
+        descendent_euler((0, 2, 2, 2, 3))
+    assert excinfo.value.reached == (2, 2, 2, 3)
+
+
 def test_index_validation():
-    with pytest.raises(ValueError):
-        DescendentIndex((0, 0))
-    with pytest.raises(ValueError):
-        DescendentIndex((0, 0, -1))
+    for bad in [(0, 0), (0, 0, -1), (0, 0, 1.5), (0, 0, True)]:
+        with pytest.raises(ValueError):
+            descendent_euler(bad)
 
 
 def test_four_point_riemann_roch_sweep():
@@ -67,6 +73,11 @@ def test_single_descendent_closed_form():
         for d in range(9):
             index = (0,) * (n - 1) + (d,)
             assert descendent_euler(index) == closed_form_single(n, d)
+
+
+def test_deep_index_has_no_recursion_limit():
+    # 1,200 string steps deep: the reduction must not use the call stack.
+    assert descendent_euler((0,) * 1200 + (1,)) == closed_form_single(1201, 1)
 
 
 def test_one_descendent_profile_matches_closed_form():
@@ -106,8 +117,7 @@ def test_permutation_invariance(exponents):
 
 def test_fresh_engine_matches_shared_memo():
     fresh = DescendentEngine()
-    idx = DescendentIndex((0, 1, 2, 3, 4))
-    assert fresh.value(idx) == descendent_euler((4, 3, 2, 1, 0))
+    assert fresh.value((2, 4, 0, 3, 1)) == descendent_euler((4, 3, 2, 1, 0))
     assert fresh.known() > 1
 
 

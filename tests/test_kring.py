@@ -84,10 +84,13 @@ def test_json_round_trip():
 
 
 def test_json_rejects_rank_mismatch():
-    doc = projective_space_kring(1).to_json_dict()
-    doc["rank"] = 5
-    with pytest.raises(SchemaError):
-        KRingPresentation.from_json_dict(doc)
+    # 2.0 and true equal the label count but are not JSON integers.
+    for ring, rank in ((projective_space_kring(1), 5),
+                       (projective_space_kring(1), 2.0), (point_kring(), True)):
+        doc = ring.to_json_dict()
+        doc["rank"] = rank
+        with pytest.raises(SchemaError):
+            KRingPresentation.from_json_dict(doc)
 
 
 # -- constructor gates --------------------------------------------------------

@@ -193,6 +193,12 @@ def test_json_rejects_out_of_window_terms():
     doc["terms"].append({"exp": [9, 0], "value": "1/1"})
     with pytest.raises(SchemaError):
         TruncatedSeries.from_json_dict(doc)
+    # The window itself must be stated in integers.
+    for order in (2.9, True):
+        doc = TruncatedSeries.one(SPEC1).to_json_dict()
+        doc["trunc"]["t"] = order
+        with pytest.raises(SchemaError):
+            TruncatedSeries.from_json_dict(doc)
 
 
 def test_json_rejects_bad_rational():
@@ -200,6 +206,12 @@ def test_json_rejects_bad_rational():
     doc["terms"][0]["value"] = "0.5"
     with pytest.raises(SchemaError):
         TruncatedSeries.from_json_dict(doc)
+    # Exponents are exact integers too: no floats, no booleans.
+    for exp in ([1.5, 0], [True, 0]):
+        doc = TruncatedSeries.one(SPEC1).to_json_dict()
+        doc["terms"].append({"exp": exp, "value": "1/1"})
+        with pytest.raises(SchemaError):
+            TruncatedSeries.from_json_dict(doc)
 
 
 def test_json_rejects_duplicate_exponent():
