@@ -166,6 +166,10 @@ def load_correlators(doc: object) -> CorrelatorTable:
     if type(degree_rank) is not int or degree_rank < 0:
         raise SchemaError("degree_rank must be a non-negative integer")
 
+    for field in ("correlators", "descendent_correlators"):
+        if not isinstance(doc[field], list):
+            raise SchemaError(f"{field} must be a list")
+
     entries: dict[PlainKey, Fraction] = {}
     for item in doc["correlators"]:
         if not isinstance(item, dict) or set(item) != {"beta", "insertions", "value"}:

@@ -131,14 +131,14 @@ def qde_residual(solution: QDESolution, fd: FrobeniusData) -> list[ResidualSumma
     """dS/dt_k minus the truncated 1/(1-q) times (e_k *) S, one summary per k."""
     window = _aligned_window(solution, fd)
     rank = solution.ring.rank
+    s_w = solution.matrix.truncated(t_order=window)
+    spec_w = s_w.spec
+    geom = TruncatedSeries.geometric_q(spec_w)
     summaries = []
     for k in range(rank):
         ds = solution.matrix.derivative(f"t{k}").truncated(t_order=window)
         # transpose: the action on the covariant index of S
         a_k = fd.a_matrices[k].truncated(t_order=window).transpose()
-        s_w = solution.matrix.truncated(t_order=window)
-        spec_w = ds.spec
-        geom = TruncatedSeries.geometric_q(spec_w)
         residual = ds - (a_k * s_w).scaled(geom)
         pieces = [
             ({"k": k, "entry": [i, j]}, residual.entries[i][j])
@@ -154,6 +154,8 @@ def gwdvv_residuals(solution: QDESolution, fd: FrobeniusData
     associativity holds exactly when all of them vanish."""
     window = _aligned_window(solution, fd)
     rank = solution.ring.rank
+    if rank < 2:
+        return []
     partials = [
         solution.matrix.derivative(f"t{k}").truncated(t_order=window)
         for k in range(rank)

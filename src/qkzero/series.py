@@ -22,6 +22,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
+from operator import add
 from typing import Iterable, Mapping
 
 from .errors import (
@@ -248,39 +250,89 @@ class TruncatedSeries:
         if self.spec != other.spec:
             raise IncompatibleSeries(f"{self.spec} vs {other.spec}")
 
+    @classmethod
+    def _trusted(cls, spec: SeriesSpec, coeffs: dict[Exponent, Fraction]) -> "TruncatedSeries":
+        """Wrap coefficients already known to be in-window nonzero Fractions
+        keyed by exponent tuples, skipping the checks of ``__post_init__``.
+        Only the ring operations below may call this."""
+        series = object.__new__(cls)
+        object.__setattr__(series, "spec", spec)
+        object.__setattr__(series, "coeffs", coeffs)
+        return series
+
     def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         self._require_same_spec(other)
         out = dict(self.coeffs)
         for exp, v in other.coeffs.items():
-            out[exp] = out.get(exp, Fraction(0)) + v
-        return TruncatedSeries(self.spec, out)
+            total = out.get(exp, 0) + v
+            if total:
+                out[exp] = total
+            else:
+                del out[exp]
+        return TruncatedSeries._trusted(self.spec, out)
 
     def __neg__(self) -> "TruncatedSeries":
-        return TruncatedSeries(self.spec, {e: -v for e, v in self.coeffs.items()})
+        return TruncatedSeries._trusted(self.spec, {e: -v for e, v in self.coeffs.items()})
 
     def __sub__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         return self + (-other)
 
     def __mul__(self, other: "TruncatedSeries | RationalLike") -> "TruncatedSeries":
+        """Product truncated to the common window.
+
+        The smaller operand is put over one integer denominator and grouped
+        by degree triple, the groups sorted by q degree.  Each term of the
+        larger operand scans the groups only up to its remaining q room and
+        skips groups beyond its t or Novikov room, so no out-of-window
+        product is ever formed.  Integer products accumulate over the
+        shared denominator and become reduced Fractions at the end.
+        """
         if isinstance(other, (Fraction, int)):
             return self.scaled(other)
         self._require_same_spec(other)
         spec = self.spec
-        out: dict[Exponent, Fraction] = {}
-        for ea, va in self.coeffs.items():
-            for eb, vb in other.coeffs.items():
-                exp = tuple(x + y for x, y in zip(ea, eb))
-                if not spec.admits(exp):
+        small, large = self.coeffs, other.coeffs
+        if len(small) > len(large):
+            small, large = large, small
+        if not small:
+            return TruncatedSeries._trusted(spec, {})
+        den_small = lcm(*(v.denominator for v in small.values()))
+        den_large = lcm(*(v.denominator for v in large.values()))
+        groups: dict[tuple[int, int, int], list[tuple[Exponent, int]]] = {}
+        for exp, v in small.items():
+            groups.setdefault(spec.degrees(exp), []).append(
+                (exp, v.numerator * (den_small // v.denominator)))
+        by_q = sorted(groups.items(), key=lambda item: item[0][2])
+        t_order, n_order, q_order = spec.t_order, spec.novikov_order, spec.q_order
+        out: dict[Exponent, int] = {}
+        get = out.get
+        for eb, vb in large.items():
+            tb, nb, qb = spec.degrees(eb)
+            t_room, n_room, q_room = t_order - tb, n_order - nb, q_order - qb
+            cb = vb.numerator * (den_large // vb.denominator)
+            for (td, nd, qd), terms in by_q:
+                if qd > q_room:
+                    break
+                if td > t_room or nd > n_room:
                     continue
-                out[exp] = out.get(exp, Fraction(0)) + va * vb
-        return TruncatedSeries(spec, out)
+                for ea, ca in terms:
+                    exp = tuple(map(add, ea, eb))
+                    out[exp] = get(exp, 0) + ca * cb
+        for exp in [e for e, v in out.items() if not v]:
+            del out[exp]
+        den = den_small * den_large
+        for exp, v in out.items():
+            out[exp] = Fraction(v, den)
+        return TruncatedSeries._trusted(spec, out)
 
     def __rmul__(self, other: RationalLike) -> "TruncatedSeries":
         return self.scaled(other)
 
     def scaled(self, value: RationalLike) -> "TruncatedSeries":
         f = _as_fraction(value)
-        return TruncatedSeries(self.spec, {e: f * v for e, v in self.coeffs.items()})
+        if not f:
+            return TruncatedSeries._trusted(self.spec, {})
+        return TruncatedSeries._trusted(self.spec, {e: f * v for e, v in self.coeffs.items()})
 
     def derivative(self, name: str) -> "TruncatedSeries":
         """Formal partial derivative.  The truncation order of the variable's
@@ -288,14 +340,14 @@ class TruncatedSeries:
         certified coefficients."""
         pos = self.spec.var_position(name)
         spec = self.spec.after_derivative(name)
+        # Lowering one exponent by one is injective and keeps the group
+        # degree within the lowered order, so no term collides or leaves.
         out: dict[Exponent, Fraction] = {}
         for exp, v in self.coeffs.items():
             k = exp[pos]
-            if k == 0:
-                continue
-            new = exp[:pos] + (k - 1,) + exp[pos + 1 :]
-            out[new] = out.get(new, Fraction(0)) + k * v
-        return TruncatedSeries(spec, out)
+            if k:
+                out[exp[:pos] + (k - 1,) + exp[pos + 1 :]] = k * v
+        return TruncatedSeries._trusted(spec, out)
 
     def truncated(self, t_order: int | None = None, novikov_order: int | None = None,
                   q_order: int | None = None) -> "TruncatedSeries":

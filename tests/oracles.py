@@ -3,7 +3,8 @@
 Each oracle reaches its value by a route the library does not use: closed
 forms, brute-force enumeration over all reduction orders, direct Euler
 characteristic expansion, order-by-order integration of the differential
-equation, and a sympy re-implementation of the associativity residual.
+equation, a sympy re-implementation of the associativity residual, and the
+all-pairs series product the library's window-aware kernel replaced.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from fractions import Fraction
 from itertools import combinations_with_replacement, product
 from math import comb, factorial
 
-from qkzero import CorrelatorTable, KRingPresentation
+from qkzero import CorrelatorTable, KRingPresentation, TruncatedSeries
 
 
 # -- descendent oracles ------------------------------------------------------
@@ -142,6 +143,22 @@ def degree_zero_descendent_table(ring: KRingPresentation, target_doc: dict,
                     value = Fraction(comb(n + d - 1, d)) * chi_val
                     entries[(beta, ins, (j, d))] = value
     return CorrelatorTable(ring, 1, target_doc, {}, entries)
+
+
+# -- series product oracle ---------------------------------------------------
+
+
+def naive_product(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
+    """Form every exponent pair, keep those the window admits, and sum the
+    Fraction products; the public constructor drops the zeros."""
+    assert a.spec == b.spec
+    out: dict[tuple[int, ...], Fraction] = {}
+    for ea, va in a.coeffs.items():
+        for eb, vb in b.coeffs.items():
+            exp = tuple(x + y for x, y in zip(ea, eb))
+            if a.spec.admits(exp):
+                out[exp] = out.get(exp, Fraction(0)) + va * vb
+    return TruncatedSeries(a.spec, out)
 
 
 # -- point differential equation oracle --------------------------------------

@@ -5,6 +5,9 @@ simple; golden files pin the exact bytes of representative reports.
 """
 
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import combinations_with_replacement
 from pathlib import Path
@@ -237,6 +240,28 @@ def test_table_check_passes_clean_table(tmp_path, capsys):
     code, out, _ = run_cli(["table-check", "--input", str(path)], capsys)
     assert code == 0
     assert json.loads(out)["violations"] == []
+
+
+@pytest.mark.parametrize("field,value", [
+    ("correlators", 7),
+    ("descendent_correlators", {"a": 1}),
+])
+def test_table_check_non_list_field_exits_one_without_traceback(tmp_path, field, value):
+    # A fresh interpreter, so an uncaught exception would show as a traceback.
+    doc = {"target": {"type": "point"}, "degree_rank": 0,
+           "correlators": [], "descendent_correlators": [], field: value}
+    path = tmp_path / "table.json"
+    path.write_text(json.dumps(doc))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [
+        str(Path(__file__).resolve().parent.parent / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "qkzero.cli", "table-check", "--input", str(path)],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr == f"error: {field} must be a list\n"
 
 
 def test_table_check_requires_input(capsys):

@@ -142,6 +142,18 @@ def test_load_rejects_booleans(doc):
         load_correlators(doc)
 
 
+@pytest.mark.parametrize("field,value", [
+    ("correlators", 7),
+    ("correlators", {"beta": [1]}),
+    ("descendent_correlators", {"a": 1}),
+    ("descendent_correlators", "[]"),
+])
+def test_load_rejects_non_list_entry_fields(field, value):
+    doc = {**_p1_table_doc([]), field: value}
+    with pytest.raises(SchemaError, match=f"^{field} must be a list$"):
+        load_correlators(doc)
+
+
 def test_load_rejects_missing_field():
     doc = _p1_table_doc([])
     del doc["degree_rank"]

@@ -21,6 +21,7 @@ from qkzero import (
     matrix_inverse_direct,
     matrix_inverse_geometric,
 )
+from oracles import naive_product
 
 SPEC1 = SeriesSpec(num_t=1, num_novikov=0, t_order=4, novikov_order=0, q_order=0)
 
@@ -178,6 +179,88 @@ def test_reciprocal_inverts_and_commutes_with_truncation(a):
     r = unit.reciprocal()
     assert unit * r == TruncatedSeries.one(a.spec)
     assert r.truncated(t_order=2) == unit.truncated(t_order=2).reciprocal()
+
+
+# -- the multiply kernel against the all-pairs oracle ------------------------
+
+NO_NOVIKOV_SPEC = SeriesSpec(num_t=2, num_novikov=0, t_order=4, novikov_order=0, q_order=2)
+TWO_NOVIKOV_SPEC = SeriesSpec(num_t=1, num_novikov=2, t_order=2, novikov_order=3, q_order=2)
+KERNEL_SPECS = (SMALL_SPEC, NO_NOVIKOV_SPEC, TWO_NOVIKOV_SPEC)
+
+
+def _window_series(spec: SeriesSpec, sizes: tuple[int, int], coeff=None, top=None):
+    """Series on any layout; exponents range over each group's whole order
+    (or up to ``top``), so some draws fall outside the window and are dropped."""
+    orders = ([spec.t_order] * spec.num_t + [spec.novikov_order] * spec.num_novikov
+              + [spec.q_order])
+    if top is not None:
+        orders = [min(order, top) for order in orders]
+    exps = st.tuples(*(st.integers(0, max(order, 0)) for order in orders))
+    if coeff is None:
+        coeff = st.fractions(min_value=-9, max_value=9, max_denominator=7)
+    return st.dictionaries(exps, coeff, min_size=sizes[0], max_size=sizes[1]).map(
+        lambda d: TruncatedSeries(spec, d))
+
+
+def _kernel_operands(small: tuple[int, int], large: tuple[int, int], coeff=None, top=None):
+    return st.sampled_from(KERNEL_SPECS).flatmap(lambda spec: st.tuples(
+        _window_series(spec, small, coeff, top),
+        _window_series(spec, large, coeff, top)))
+
+
+def _assert_kernel_matches_oracle(a: TruncatedSeries, b: TruncatedSeries) -> None:
+    for left, right in ((a, b), (b, a)):
+        product = left * right
+        assert product == naive_product(left, right)
+        assert product.spec == left.spec
+        for exp, value in product.coeffs.items():
+            assert type(exp) is tuple and left.spec.admits(exp)
+            assert type(value) is Fraction and value != 0
+
+
+@given(_kernel_operands((0, 8), (0, 8)))
+@settings(max_examples=80, deadline=None)
+def test_product_matches_all_pairs_oracle(operands):
+    _assert_kernel_matches_oracle(*operands)
+
+
+@given(_kernel_operands((1, 2), (30, 60)))
+@settings(max_examples=40, deadline=None)
+def test_product_of_very_different_sizes_matches_oracle(operands):
+    _assert_kernel_matches_oracle(*operands)
+
+
+@given(_kernel_operands((0, 12), (0, 12), st.sampled_from([Fraction(-1), Fraction(1)]), top=1))
+@settings(max_examples=60, deadline=None)
+def test_product_with_cancelling_unit_coefficients_matches_oracle(operands):
+    """Coefficients of +-1 on exponents 0 and 1: about half the draws have a
+    product coefficient whose pair contributions sum to zero."""
+    _assert_kernel_matches_oracle(*operands)
+
+
+@given(_series())
+@settings(max_examples=20, deadline=None)
+def test_product_on_negative_order_is_empty(a):
+    lowered = a.derivative("q").derivative("q")
+    assert lowered.spec.q_order == -1
+    _assert_kernel_matches_oracle(lowered, lowered)
+    assert (lowered * lowered).is_zero()
+
+
+@given(st.sampled_from(KERNEL_SPECS).flatmap(lambda spec: _window_series(spec, (0, 3))))
+@settings(max_examples=40, deadline=None)
+def test_product_cancelling_to_one(f):
+    """(1 + f) times the truncated geometric series of -f is exactly 1 when f
+    has no constant term: every other coefficient cancels to zero."""
+    spec = f.spec
+    one = TruncatedSeries.one(spec)
+    f = f - TruncatedSeries.constant(spec, f.constant_term)
+    geometric, power = one, one
+    for _ in range(spec.budget()):
+        power = naive_product(power, -f)
+        geometric = geometric + power
+    _assert_kernel_matches_oracle(one + f, geometric)
+    assert (one + f) * geometric == one
 
 
 @given(_series())
