@@ -12,10 +12,7 @@ from .correlators import (
     ring_from_target,
     table_consistency_check,
 )
-from .descendents import (
-    DescendentEngine,
-    descendent_euler,
-)
+from .descendents import descendent_euler
 from .errors import (
     DuplicateEntry,
     IncompatibleSeries,

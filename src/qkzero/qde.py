@@ -26,6 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations_with_replacement
 from math import factorial
 
@@ -50,6 +51,11 @@ class QDESolution:
     @property
     def spec(self) -> SeriesSpec:
         return self.matrix.spec
+
+    @cached_property
+    def partials(self) -> tuple[SeriesMatrix, ...]:
+        """dS/dt_k for every k, untruncated; shared by both residuals."""
+        return tuple(self.matrix.derivative(f"t{k}") for k in range(self.ring.rank))
 
 
 def assemble_fundamental_solution(ring: KRingPresentation, table: CorrelatorTable,
@@ -136,7 +142,7 @@ def qde_residual(solution: QDESolution, fd: FrobeniusData) -> list[ResidualSumma
     geom = TruncatedSeries.geometric_q(spec_w)
     summaries = []
     for k in range(rank):
-        ds = solution.matrix.derivative(f"t{k}").truncated(t_order=window)
+        ds = solution.partials[k].truncated(t_order=window)
         # transpose: the action on the covariant index of S
         a_k = fd.a_matrices[k].truncated(t_order=window).transpose()
         residual = ds - (a_k * s_w).scaled(geom)
@@ -156,10 +162,7 @@ def gwdvv_residuals(solution: QDESolution, fd: FrobeniusData
     rank = solution.ring.rank
     if rank < 2:
         return []
-    partials = [
-        solution.matrix.derivative(f"t{k}").truncated(t_order=window)
-        for k in range(rank)
-    ]
+    partials = [p.truncated(t_order=window) for p in solution.partials]
     a_trunc = [
         fd.a_matrices[k].truncated(t_order=window).transpose()
         for k in range(rank)

@@ -95,7 +95,7 @@ def test_criterion_3_confluence():
         for exps in combinations_with_replacement(range(5), n):
             values = branching_values(exps)
             if not values:
-                # reduction closure fails on every order; the engine agrees
+                # reduction closure fails on every order; the library agrees
                 with pytest.raises(NotReducible):
                     descendent_euler(exps)
                 continue

@@ -14,9 +14,11 @@ from pathlib import Path
 
 import pytest
 
-from qkzero import point_descendent_table, projective_space_kring
+from qkzero import SeriesMatrix, point_descendent_table, projective_space_kring
 from qkzero.cli import main
 from qkzero.correlators import CorrelatorTable
+
+from oracles import degree_zero_descendent_table
 
 DATA = Path(__file__).parent / "data"
 
@@ -207,6 +209,29 @@ def test_qde_check_flags_perturbed_descendent(tmp_path, capsys):
     doc = json.loads(out)
     assert doc["qde_residuals"][0]["max_residual"] != "0/1"
     assert "NONZERO" in err
+
+
+def test_qde_check_differentiates_once_per_variable(tmp_path, capsys,
+                                                   monkeypatch):
+    ring = projective_space_kring(2)
+    table = degree_zero_descendent_table(
+        ring, {"type": "projective", "n": 2}, 5, 2)
+    path = tmp_path / "table.json"
+    path.write_text(json.dumps(table.to_json_dict()))
+    calls = []
+    derivative = SeriesMatrix.derivative
+
+    def counted(self, var):
+        calls.append(var)
+        return derivative(self, var)
+
+    monkeypatch.setattr(SeriesMatrix, "derivative", counted)
+    code, out, _ = run_cli(
+        ["qde-check", "--target", "projective:2", "--input", str(path),
+         "--t-order", "5", "--desc-order", "2"], capsys)
+    assert code == 0
+    assert len(json.loads(out)["gwdvv_residuals"]) == 3
+    assert sorted(calls) == ["t0", "t1", "t2"]
 
 
 def test_qde_check_needs_descendent_data_off_point(capsys):

@@ -1,18 +1,16 @@
-"""Descendent engine against closed forms, brute-force branching, and symmetry."""
+"""Descendent Euler characteristics against closed forms, brute-force
+branching, the one-step string/dilaton identity, and symmetry."""
 
 from __future__ import annotations
 
 from itertools import combinations_with_replacement, product
+from time import perf_counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qkzero import (
-    DescendentEngine,
-    NotReducible,
-    descendent_euler,
-)
+from qkzero import NotReducible, descendent_euler
 
 from oracles import branching_values, closed_form_single, riemann_roch_n4
 
@@ -115,10 +113,10 @@ def test_permutation_invariance(exponents):
     assert descendent_euler(shuffled) == base
 
 
-def test_fresh_engine_matches_shared_memo():
-    fresh = DescendentEngine()
-    assert fresh.value((2, 4, 0, 3, 1)) == descendent_euler((4, 3, 2, 1, 0))
-    assert fresh.known() > 1
+def test_sequence_type_and_order_give_one_value():
+    value = descendent_euler((2, 4, 0, 3, 1))
+    assert descendent_euler([2, 4, 0, 3, 1]) == value
+    assert descendent_euler((4, 3, 2, 1, 0)) == value
 
 
 def test_string_and_dilaton_steps_explicitly():
@@ -129,3 +127,62 @@ def test_string_and_dilaton_steps_explicitly():
     assert descendent_euler((1, 1, 1, 1)) == 2 + 3
     # Mixed: E(5; 0,0,0,0,2) reduces to 6 either way; cross-checked above.
     assert descendent_euler((0, 0, 1, 2)) == riemann_roch_n4((0, 0, 1, 2))
+
+
+def test_cost_does_not_grow_with_the_powers():
+    # A recursion over the ladder would take on the order of 10**6 steps per
+    # power here; the closed form takes at most n - 2 terms per power.
+    huge = 10**6
+    start = perf_counter()
+    assert descendent_euler((0, 0, 0, 0, huge)) == closed_form_single(5, huge)
+    index = (1, huge, huge, huge)
+    assert descendent_euler(index) == riemann_roch_n4(index)
+    with pytest.raises(NotReducible) as excinfo:
+        descendent_euler((0, huge, huge, huge, huge))
+    assert excinfo.value.reached == (huge,) * 4
+    assert perf_counter() - start < 1.0
+
+
+def _one_step(index, j):
+    """The string (d_j = 0) or dilaton (d_j = 1) step at slot j, each child
+    evaluated by the library."""
+    rest = index[:j] + index[j + 1:]
+    total = (1 if index[j] == 0 else len(index) - 2) * descendent_euler(rest)
+    for i, d in enumerate(rest):
+        for k in range(1, d + 1):
+            total += descendent_euler(rest[:i] + (d - k,) + rest[i + 1:])
+    return total
+
+
+def _assert_every_step_agrees(index):
+    value = descendent_euler(index)
+    for small in (0, 1):
+        if small in index:
+            assert _one_step(index, index.index(small)) == value, (index, small)
+
+
+def test_one_step_identity_far_beyond_the_branching_oracle():
+    for index in [
+        (0,) * 57 + (50, 50, 50),
+        (1,) * 57 + (50, 49, 2),
+        (0, 1) * 28 + (1, 17, 50, 3),
+        (50, 0, 1, 0, 1, 2),
+        (0,) * 40 + (1,) * 10 + (44,),
+        (1,) * 60,
+    ]:
+        _assert_every_step_agrees(index)
+
+
+@st.composite
+def reducible_indices(draw):
+    n = draw(st.integers(4, 60))
+    large = draw(st.lists(st.integers(2, 50), max_size=3))
+    small = draw(st.lists(st.integers(0, 1), min_size=n - len(large),
+                          max_size=n - len(large)))
+    return tuple(draw(st.permutations(small + large)))
+
+
+@given(reducible_indices())
+@settings(max_examples=25, deadline=None)
+def test_one_step_identity_on_drawn_reducible_indices(index):
+    _assert_every_step_agrees(index)
