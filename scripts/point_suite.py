@@ -18,7 +18,6 @@ from qkzero import (
     build_frobenius_data,
     flatness_residuals,
     is_complete,
-    point_descendent_table,
     point_kring,
     qde_residual,
     wdvv_residual,
@@ -56,9 +55,8 @@ def main() -> None:
     print(f"  Levi-Civita   : {flat.levi_civita.max_abs}")
     print(f"  metric flat   : {flat.metric.max_abs}")
 
-    dtable = point_descendent_table(t_order + 2, q_order)
-    deep = assemble_potential(ring, dtable, t_order + 3, 0, q_order=q_order)
-    solution = assemble_fundamental_solution(ring, dtable, t_order, 0, q_order)
+    deep = assemble_potential(ring, table, t_order + 3, 0, q_order=q_order)
+    solution = assemble_fundamental_solution(ring, table, t_order, 0, q_order)
     residuals = qde_residual(solution, build_frobenius_data(deep))
     print(f"\nfundamental solution at T = {t_order}, M = {q_order}:")
     print(f"  differential equation residual: {residuals[0].max_abs}")

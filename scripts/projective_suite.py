@@ -3,8 +3,12 @@
 
 For each dimension up to --max-dim: print the pairing, confirm the
 degree-zero quantum product collapses to the classical multiplication
-table, and verify associativity, flatness, and unit residuals vanish.
-Positive-degree checks need correlator input; see the qkzero CLI.
+table, verify associativity, flatness, and unit residuals vanish, and
+check the quantum differential equation (connection equation, generalized
+associativity, completeness) at descendent order QDE_Q_ORDER with the
+degree-zero descendent values the library computes, as `qkzero qde-check`
+does without --input.  Positive-degree checks need correlator input; see
+the qkzero CLI.
 """
 
 import argparse
@@ -13,14 +17,20 @@ import time
 from qkzero import (
     CorrelatorTable,
     TruncatedSeries,
+    assemble_fundamental_solution,
     assemble_potential,
     build_frobenius_data,
     classical_limit_residual,
     flatness_residuals,
+    gwdvv_residuals,
+    is_complete,
     projective_space_kring,
+    qde_residual,
     unit_residual,
     wdvv_residual,
 )
+
+QDE_Q_ORDER = 2
 
 
 def run_dimension(nproj: int, t_order: int) -> bool:
@@ -41,12 +51,20 @@ def run_dimension(nproj: int, t_order: int) -> bool:
         for j in range(ring.rank)
         for k in range(ring.rank))
     flat = flatness_residuals(fd)
+
+    deep = build_frobenius_data(assemble_potential(
+        ring, table, t_order + 3, 0, q_order=QDE_Q_ORDER))
+    solution = assemble_fundamental_solution(ring, table, t_order, 0, QDE_Q_ORDER)
+    qde_ok = (all(s.is_zero for s in qde_residual(solution, deep))
+              and all(s.is_zero for _, s in gwdvv_residuals(solution, deep))
+              and is_complete(solution))
     residuals = {
         "product equals classical table": classical,
         "associativity": wdvv_residual(fd).is_zero,
         "unit": unit_residual(fd).is_zero,
         "degree-zero slice": classical_limit_residual(fd).is_zero,
         "flatness": flat.is_zero,
+        "qde": qde_ok,
     }
     for name, ok in residuals.items():
         print(f"  {name}: {'ok' if ok else 'VIOLATED'}")

@@ -8,7 +8,6 @@ from .correlators import (
     beta_zero_correlator,
     effective_degrees,
     load_correlators,
-    point_descendent_table,
     ring_from_target,
     table_consistency_check,
 )
@@ -20,7 +19,6 @@ from .errors import (
     IneffectiveDegree,
     InvalidPresentation,
     ModuliNonexistent,
-    NotInvertible,
     NotReducible,
     QKError,
     RingMismatch,
@@ -62,7 +60,6 @@ from .series import (
     SeriesSpec,
     TruncatedSeries,
     format_rational,
-    matrix_inverse_direct,
     matrix_inverse_geometric,
     parse_rational,
     try_rational_inverse,

@@ -14,13 +14,13 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from dataclasses import dataclass
 
 from .correlators import (
     CorrelatorTable,
     load_correlators,
-    point_descendent_table,
     ring_from_target,
     table_consistency_check,
 )
@@ -46,6 +46,8 @@ EXIT_OK = 0
 EXIT_BAD_INPUT = 1
 EXIT_NOT_REDUCIBLE = 2
 EXIT_RESIDUAL = 3
+
+_INDEX_PART_RE = re.compile(r"-?[0-9]+")
 
 
 @dataclass(frozen=True)
@@ -81,6 +83,25 @@ def _write(config: RunConfig, text: str, summary: str) -> None:
     print(summary, file=sys.stderr)
 
 
+def _read_json(path: str) -> object:
+    """One JSON document from a file; nesting too deep to parse is bad input."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except RecursionError:
+            raise ValueError(f"{path}: JSON nested too deeply") from None
+
+
+def _parse_index(raw_index: str) -> list[int]:
+    """Comma-separated ASCII integers; int() alone would take ' 2', '+3',
+    '1_0' and non-ASCII digits."""
+    parts = raw_index.split(",")
+    for part in parts:
+        if not _INDEX_PART_RE.fullmatch(part):
+            raise ValueError(f"index part {part!r} is not an integer")
+    return [int(part) for part in parts]
+
+
 def parse_target(text: str) -> dict:
     if text == "point":
         return {"type": "point"}
@@ -90,19 +111,14 @@ def parse_target(text: str) -> dict:
             raise ValueError(f"projective target needs a dimension: {text!r}")
         return {"type": "projective", "n": int(tail)}
     if text.startswith("custom:"):
-        path = text.split(":", 1)[1]
-        with open(path, encoding="utf-8") as fh:
-            ring_doc = json.load(fh)
-        return {"type": "custom", "ring": ring_doc}
+        return {"type": "custom", "ring": _read_json(text.split(":", 1)[1])}
     raise ValueError(f"unknown target {text!r}")
 
 
 def _resolve_table(config: RunConfig) -> tuple[KRingPresentation, CorrelatorTable]:
     """Table from --input, or an empty table for the named target."""
     if config.input_path:
-        with open(config.input_path, encoding="utf-8") as fh:
-            doc = json.load(fh)
-        table = load_correlators(doc)
+        table = load_correlators(_read_json(config.input_path))
         if config.target is not None:
             named = ring_from_target(parse_target(config.target))
             if named != table.ring:
@@ -119,8 +135,7 @@ def _resolve_table(config: RunConfig) -> tuple[KRingPresentation, CorrelatorTabl
 
 def cmd_descendent(config: RunConfig, raw_index: str | None) -> int:
     if config.input_path:
-        with open(config.input_path, encoding="utf-8") as fh:
-            batch = json.load(fh)
+        batch = _read_json(config.input_path)
         if not isinstance(batch, list) or not all(
                 isinstance(idx, list) and all(type(d) is int for d in idx)
                 for idx in batch):
@@ -143,7 +158,7 @@ def cmd_descendent(config: RunConfig, raw_index: str | None) -> int:
     if raw_index is None:
         print("give an index like 2,3,0,1 or --input batch.json", file=sys.stderr)
         return EXIT_BAD_INPUT
-    exponents = [int(part) for part in raw_index.split(",")]
+    exponents = _parse_index(raw_index)
     try:
         value = descendent_euler(exponents)
     except NotReducible as exc:
@@ -209,13 +224,6 @@ def cmd_frobenius_check(config: RunConfig) -> int:
 def cmd_qde_check(config: RunConfig) -> int:
     config.validate_orders(need_potential=True)
     ring, table = _resolve_table(config)
-    if not table.descendent_entries:
-        if table.target_doc.get("type") == "point":
-            table = point_descendent_table(config.t_order + 2, config.desc_order)
-            ring = table.ring
-        else:
-            raise ValueError(
-                "qde-check needs descendent correlators; supply --input")
     # Potential three orders higher so the product is certified on the
     # same t window as the derivative of the solution.
     potential = assemble_potential(ring, table, config.t_order + 3,
@@ -249,9 +257,7 @@ def cmd_qde_check(config: RunConfig) -> int:
 def cmd_table_check(config: RunConfig) -> int:
     if not config.input_path:
         raise ValueError("table-check needs --input")
-    with open(config.input_path, encoding="utf-8") as fh:
-        doc = json.load(fh)
-    table = load_correlators(doc)
+    table = load_correlators(_read_json(config.input_path))
     report = table_consistency_check(table)
     _emit(config, report.to_json_dict(),
           f"checked {report.checked_pairs} unit-insertion pairs, "

@@ -13,23 +13,24 @@ value is unknown, never that it is zero.
 Degree-zero correlators need no table: with no curve to correct for, the
 virtual sheaf is trivial and the invariant collapses to the Euler
 characteristic of the product of the insertions on the target, provided at
-least three points keep the moduli space non-empty.
+least three points keep the moduli space non-empty.  A marked descendent
+slot tau_d(e_j) next to m plain insertions only adds the cotangent factor
+of the curve: the value is chi(prod u_i * e_j) * E(m+1; 0,...,0,d).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
-from .descendents import descendent_euler
 from .errors import (
     DuplicateEntry,
     IneffectiveDegree,
     ModuliNonexistent,
     SchemaError,
 )
-from .kring import KRingPresentation, point_kring, projective_space_kring
+from .kring import KClass, KRingPresentation, point_kring, projective_space_kring
 from .series import format_rational, parse_rational
 
 DegreeVector = tuple[int, ...]
@@ -64,16 +65,40 @@ def effective_degrees(degree_rank: int, bound: int) -> Iterator[DegreeVector]:
             yield vec
 
 
+def degree_zero_chi(ring: KRingPresentation) -> Callable[[Iterable[int]], Fraction]:
+    """chi of the product of basis insertions, as a function of the multiset.
+
+    Each sorted multiset's product is one multiply away from its longest
+    prefix already formed, so walking multisets in ascending order costs
+    one class product apiece.  The cache lives in the returned function;
+    build one per assembly.
+    """
+    basis = [ring.basis_class(i) for i in range(ring.rank)]
+    products: dict[tuple[int, ...], KClass] = {(): ring.unit()}
+
+    def chi(insertions: Iterable[int]) -> Fraction:
+        key = tuple(sorted(int(i) for i in insertions))
+        if len(key) < 3:
+            raise ModuliNonexistent(
+                f"{len(key)} insertions at degree zero: no stable curve exists")
+        if key[0] < 0 or key[-1] >= ring.rank:
+            raise ValueError(
+                f"insertion index out of range 0..{ring.rank - 1}: {list(key)}")
+        cut = len(key)
+        while key[:cut] not in products:
+            cut -= 1
+        acc = products[key[:cut]]
+        for end in range(cut + 1, len(key) + 1):
+            acc = acc * basis[key[end - 1]]
+            products[key[:end]] = acc
+        return acc.chi()
+
+    return chi
+
+
 def beta_zero_correlator(ring: KRingPresentation, insertions: Iterable[int]) -> Fraction:
     """chi of the product of basis insertions; needs n >= 3 marked points."""
-    idx = tuple(int(i) for i in insertions)
-    if len(idx) < 3:
-        raise ModuliNonexistent(
-            f"{len(idx)} insertions at degree zero: no stable curve exists")
-    acc = ring.unit()
-    for i in idx:
-        acc = acc * ring.basis_class(i)
-    return acc.chi()
+    return degree_zero_chi(ring)(insertions)
 
 
 @dataclass(frozen=True)
@@ -257,24 +282,3 @@ def table_consistency_check(table: CorrelatorTable) -> ConsistencyReport:
                 "parent_value": format_rational(parent),
             })
     return ConsistencyReport(checked, tuple(violations))
-
-
-def point_descendent_table(nmax: int, dmax: int) -> CorrelatorTable:
-    """Single-descendent correlators of the point target.
-
-    The entry with n-1 unit insertions plus one marked tau_d slot is exactly
-    the cotangent Euler characteristic E(n; 0,...,0,d); the virtual sheaf is
-    trivial at degree zero.
-    """
-    if nmax < 3:
-        raise ValueError("need nmax >= 3")
-    if dmax < 0:
-        raise ValueError("need dmax >= 0")
-    ring = point_kring()
-    dentries: dict[MarkedKey, Fraction] = {}
-    for n in range(3, nmax + 1):
-        ins = (0,) * (n - 1)
-        for d in range(dmax + 1):
-            dentries[((), ins, (0, d))] = Fraction(
-                descendent_euler((0,) * (n - 1) + (d,)))
-    return CorrelatorTable(ring, 0, {"type": "point"}, {}, dentries)

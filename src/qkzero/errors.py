@@ -15,10 +15,6 @@ class UnknownVariable(QKError):
     """A variable name that does not belong to the series' variable groups."""
 
 
-class NotInvertible(QKError):
-    """Reciprocal of a series whose constant term vanishes."""
-
-
 class SingularMetric(QKError):
     """Matrix inversion attempted on a series matrix with singular constant term."""
 

@@ -21,7 +21,7 @@ from math import factorial
 
 from .correlators import (
     CorrelatorTable,
-    beta_zero_correlator,
+    degree_zero_chi,
     effective_degrees,
 )
 from .errors import IncompleteTable, RingMismatch
@@ -83,6 +83,7 @@ def assemble_potential(ring: KRingPresentation, table: CorrelatorTable,
     rank = ring.rank
     spec = SeriesSpec(rank, table.degree_rank, t_order, novikov_order, q_order)
     acc: dict[tuple[int, ...], Fraction] = {}
+    chi = degree_zero_chi(ring)
 
     def bump(t_counts: tuple[int, ...], beta: tuple[int, ...], value: Fraction) -> None:
         exp = t_counts + beta + (0,)
@@ -107,7 +108,7 @@ def assemble_potential(ring: KRingPresentation, table: CorrelatorTable,
                 value = table.value(beta, kappa)
                 if value is None:
                     if degree_zero:
-                        value = beta_zero_correlator(ring, kappa)
+                        value = chi(kappa)
                     else:
                         raise IncompleteTable(beta, kappa)
                 if value == 0:

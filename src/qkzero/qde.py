@@ -30,7 +30,8 @@ from functools import cached_property
 from itertools import combinations_with_replacement
 from math import factorial
 
-from .correlators import CorrelatorTable, effective_degrees
+from .correlators import CorrelatorTable, degree_zero_chi, effective_degrees
+from .descendents import descendent_euler
 from .errors import IncompleteTable, RingMismatch, TruncationMismatch
 from .frobenius import FrobeniusData, ResidualSummary, residual_summary, window_dict
 from .kring import KRingPresentation
@@ -63,11 +64,14 @@ def assemble_fundamental_solution(ring: KRingPresentation, table: CorrelatorTabl
                                   q_order: int) -> QDESolution:
     """Build S entry by entry from marked descendent correlators.
 
-    Every key the truncation demands must be present: at degree zero that
-    means at least one plain insertion next to the two distinguished slots
-    (three points keep the moduli space alive), at positive degree every
-    insertion count from zero up to the t order.  The first missing key
-    aborts with the key attached.
+    A degree-zero key missing from the table is computed: at degree zero the
+    moduli space splits as curves times target, so the value is
+    chi(prod of insertions * e_j) times E(n+2; 0,...,0,d), the same "table
+    value if present, else compute" rule the potential applies to plain
+    keys.  Degree zero needs at least one plain insertion next to the two
+    distinguished slots (three points keep the moduli space alive).  At
+    positive degree every key from zero insertions up to the t order must be
+    supplied; the first missing one aborts with the key attached.
     """
     if table.ring != ring:
         raise RingMismatch("table was built for a different ring presentation")
@@ -83,10 +87,14 @@ def assemble_fundamental_solution(ring: KRingPresentation, table: CorrelatorTabl
                 cells[i][j][zero_exp] = Fraction(ring.pairing[i][j])
 
     qpos = spec.nvars - 1
+    chi = degree_zero_chi(ring)
     for beta in effective_degrees(table.degree_rank, novikov_order):
         degree_zero = all(b == 0 for b in beta)
         n_min = 1 if degree_zero else 0
         for n in range(n_min, t_order + 1):
+            if degree_zero:
+                euler = [descendent_euler((0,) * (n + 1) + (d,))
+                         for d in range(q_order + 1)]
             for kappa in combinations_with_replacement(range(rank), n):
                 counts = [0] * rank
                 for idx in kappa:
@@ -97,10 +105,15 @@ def assemble_fundamental_solution(ring: KRingPresentation, table: CorrelatorTabl
                 for i in range(rank):
                     insertions = tuple(sorted((i,) + kappa))
                     for j in range(rank):
+                        chi_ij = None
                         for d in range(q_order + 1):
                             value = table.descendent_value(beta, insertions, (j, d))
                             if value is None:
-                                raise IncompleteTable(beta, insertions, (j, d))
+                                if not degree_zero:
+                                    raise IncompleteTable(beta, insertions, (j, d))
+                                if chi_ij is None:
+                                    chi_ij = chi(insertions + (j,))
+                                value = chi_ij * euler[d]
                             if value == 0:
                                 continue
                             exp = list(counts) + list(beta) + [0]

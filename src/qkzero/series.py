@@ -28,7 +28,6 @@ from typing import Iterable, Mapping
 
 from .errors import (
     IncompatibleSeries,
-    NotInvertible,
     SchemaError,
     SingularMetric,
     UnknownVariable,
@@ -354,31 +353,6 @@ class TruncatedSeries:
         spec = self.spec.truncated(t_order, novikov_order, q_order)
         return TruncatedSeries(spec, dict(self.coeffs))
 
-    def reciprocal(self) -> "TruncatedSeries":
-        """Multiplicative inverse, defined when the constant term is nonzero.
-
-        With a = c(1 + f) and f having no constant term, 1/a is the geometric
-        series (1/c) * sum of (-f)^k; f^k dies once k exceeds the total degree
-        budget, so the loop terminates.
-        """
-        c = self.constant_term
-        if c == 0:
-            raise NotInvertible("constant term vanishes")
-        if min(self.spec.t_order, self.spec.novikov_order, self.spec.q_order) < 0:
-            raise NotInvertible("series certifies no coefficients in some group")
-        inv_c = Fraction(1) / c
-        f = self.scaled(inv_c) - TruncatedSeries.one(self.spec)
-        acc = TruncatedSeries.one(self.spec)
-        power = TruncatedSeries.one(self.spec)
-        sign = 1
-        for _ in range(self.spec.budget()):
-            power = power * f
-            if power.is_zero():
-                break
-            sign = -sign
-            acc = acc + power.scaled(sign)
-        return acc.scaled(inv_c)
-
     # -- serialization -----------------------------------------------------
 
     def to_json_dict(self) -> dict:
@@ -496,11 +470,6 @@ class SeriesMatrix:
         ))
 
     @classmethod
-    def zero(cls, spec: SeriesSpec, dim: int) -> "SeriesMatrix":
-        z = TruncatedSeries.zero(spec)
-        return cls(tuple(tuple(z for _ in range(dim)) for _ in range(dim)))
-
-    @classmethod
     def from_rational_matrix(cls, spec: SeriesSpec,
                              rows: Iterable[Iterable[RationalLike]]) -> "SeriesMatrix":
         return cls(tuple(
@@ -606,31 +575,3 @@ def matrix_inverse_geometric(mat: SeriesMatrix) -> SeriesMatrix:
             break
         acc = acc + term
     return acc
-
-
-def matrix_inverse_direct(mat: SeriesMatrix) -> SeriesMatrix:
-    """Invert a series matrix by Gauss-Jordan elimination over the series ring,
-    pivoting on entries whose constant term is nonzero."""
-    n = mat.dimension
-    spec = mat.spec
-    left = [list(row) for row in mat.entries]
-    right = [list(row) for row in SeriesMatrix.identity(spec, n).entries]
-    for col in range(n):
-        pivot = next(
-            (r for r in range(col, n) if left[r][col].constant_term != 0), None)
-        if pivot is None:
-            raise SingularMetric("no invertible pivot; constant term is singular")
-        left[col], left[pivot] = left[pivot], left[col]
-        right[col], right[pivot] = right[pivot], right[col]
-        inv = left[col][col].reciprocal()
-        left[col] = [inv * x for x in left[col]]
-        right[col] = [inv * x for x in right[col]]
-        for r in range(n):
-            if r == col:
-                continue
-            factor = left[r][col]
-            if factor.is_zero():
-                continue
-            left[r] = [x - factor * y for x, y in zip(left[r], left[col])]
-            right[r] = [x - factor * y for x, y in zip(right[r], right[col])]
-    return SeriesMatrix(tuple(tuple(row) for row in right))

@@ -3,8 +3,10 @@
 Each oracle reaches its value by a route the library does not use: closed
 forms, brute-force enumeration over all reduction orders, direct Euler
 characteristic expansion, order-by-order integration of the differential
-equation, a sympy re-implementation of the associativity residual, and the
-all-pairs series product the library's window-aware kernel replaced.
+equation, a sympy re-implementation of the associativity residual, the
+all-pairs series product the library's window-aware kernel replaced, and
+Gauss-Jordan inversion over the series ring beside the library's geometric
+inverse.
 """
 
 from __future__ import annotations
@@ -13,7 +15,15 @@ from fractions import Fraction
 from itertools import combinations_with_replacement, product
 from math import comb, factorial
 
-from qkzero import CorrelatorTable, KRingPresentation, TruncatedSeries
+from qkzero import (
+    CorrelatorTable,
+    KRingPresentation,
+    QKError,
+    SeriesMatrix,
+    SeriesSpec,
+    SingularMetric,
+    TruncatedSeries,
+)
 
 
 # -- descendent oracles ------------------------------------------------------
@@ -159,6 +169,72 @@ def naive_product(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
             if a.spec.admits(exp):
                 out[exp] = out.get(exp, Fraction(0)) + va * vb
     return TruncatedSeries(a.spec, out)
+
+
+# -- series inverse oracles -------------------------------------------------
+
+
+class NotInvertible(QKError):
+    """Reciprocal of a series whose constant term vanishes."""
+
+
+def reciprocal(a: TruncatedSeries) -> TruncatedSeries:
+    """Multiplicative inverse, defined when the constant term is nonzero.
+
+    With a = c(1 + f) and f having no constant term, 1/a is the geometric
+    series (1/c) * sum of (-f)^k; f^k dies once k exceeds the total degree
+    budget, so the loop terminates.
+    """
+    c = a.constant_term
+    if c == 0:
+        raise NotInvertible("constant term vanishes")
+    if min(a.spec.t_order, a.spec.novikov_order, a.spec.q_order) < 0:
+        raise NotInvertible("series certifies no coefficients in some group")
+    inv_c = Fraction(1) / c
+    f = a.scaled(inv_c) - TruncatedSeries.one(a.spec)
+    acc = TruncatedSeries.one(a.spec)
+    power = TruncatedSeries.one(a.spec)
+    sign = 1
+    for _ in range(a.spec.budget()):
+        power = power * f
+        if power.is_zero():
+            break
+        sign = -sign
+        acc = acc + power.scaled(sign)
+    return acc.scaled(inv_c)
+
+
+def zero_matrix(spec: SeriesSpec, dim: int) -> SeriesMatrix:
+    z = TruncatedSeries.zero(spec)
+    return SeriesMatrix(tuple(tuple(z for _ in range(dim)) for _ in range(dim)))
+
+
+def matrix_inverse_direct(mat: SeriesMatrix) -> SeriesMatrix:
+    """Invert a series matrix by Gauss-Jordan elimination over the series ring,
+    pivoting on entries whose constant term is nonzero."""
+    n = mat.dimension
+    spec = mat.spec
+    left = [list(row) for row in mat.entries]
+    right = [list(row) for row in SeriesMatrix.identity(spec, n).entries]
+    for col in range(n):
+        pivot = next(
+            (r for r in range(col, n) if left[r][col].constant_term != 0), None)
+        if pivot is None:
+            raise SingularMetric("no invertible pivot; constant term is singular")
+        left[col], left[pivot] = left[pivot], left[col]
+        right[col], right[pivot] = right[pivot], right[col]
+        inv = reciprocal(left[col][col])
+        left[col] = [inv * x for x in left[col]]
+        right[col] = [inv * x for x in right[col]]
+        for r in range(n):
+            if r == col:
+                continue
+            factor = left[r][col]
+            if factor.is_zero():
+                continue
+            left[r] = [x - factor * y for x, y in zip(left[r], left[col])]
+            right[r] = [x - factor * y for x, y in zip(right[r], right[col])]
+    return SeriesMatrix(tuple(tuple(row) for row in right))
 
 
 # -- point differential equation oracle --------------------------------------

@@ -32,9 +32,7 @@ from qkzero import (
     gwdvv_residuals,
     is_complete,
     load_correlators,
-    matrix_inverse_direct,
     matrix_inverse_geometric,
-    point_descendent_table,
     point_kring,
     projective_space_kring,
     qde_residual,
@@ -49,6 +47,7 @@ from oracles import (
     branching_values,
     closed_form_single,
     integrate_point_qde,
+    matrix_inverse_direct,
     riemann_roch_n4,
     sympy_wdvv_tensor,
 )
@@ -187,7 +186,7 @@ def test_criterion_6_inverse_routes():
 @_criterion(7, "point differential equation at T=8, M=8")
 def test_criterion_7_point_qde():
     ring = point_kring()
-    table = point_descendent_table(10, 8)
+    table = CorrelatorTable.empty(ring, 0, {"type": "point"})
     potential = assemble_potential(ring, table, 11, 0, q_order=8)
     fd = build_frobenius_data(potential)
     solution = assemble_fundamental_solution(ring, table, 8, 0, 8)
@@ -230,13 +229,13 @@ def test_criterion_8_negative_controls(tmp_path, capsys):
     assert code == 3
 
     # (b) one perturbed correlator: consistency check names the entry
-    chain = point_descendent_table(6, 2).to_json_dict()
+    chain = CorrelatorTable.empty(
+        point_kring(), 0, {"type": "point"}).to_json_dict()
     chain["correlators"] = [
         {"beta": [], "insertions": [0, 0, 0], "value": "1/1"},
         {"beta": [], "insertions": [0, 0, 0, 0], "value": "1/1"},
         {"beta": [], "insertions": [0, 0, 0, 0, 0], "value": "3/2"},
     ]
-    chain["descendent_correlators"] = []
     report = table_consistency_check(load_correlators(chain))
     assert len(report.violations) == 1
     chain_path = tmp_path / "chain.json"
@@ -247,10 +246,9 @@ def test_criterion_8_negative_controls(tmp_path, capsys):
 
     # (c) perturbed descendent entry: the predicted residual footprint
     delta = Fraction(3, 7)
-    dtable = point_descendent_table(8, 4)
-    base = dtable.descendent_value((), (0, 0, 0, 0), (0, 2))
-    dtable = dtable.with_descendent_entry((), (0, 0, 0, 0), (0, 2),
-                                          base + delta)
+    dtable = CorrelatorTable.empty(point_kring(), 0, {"type": "point"})
+    dtable = dtable.with_descendent_entry(
+        (), (0, 0, 0, 0), (0, 2), descendent_euler((0, 0, 0, 0, 2)) + delta)
     dtable_path = tmp_path / "descendent.json"
     dtable_path.write_text(json.dumps(dtable.to_json_dict()))
     code = main(["qde-check", "--input", str(dtable_path),

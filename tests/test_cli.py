@@ -14,13 +14,29 @@ from pathlib import Path
 
 import pytest
 
-from qkzero import SeriesMatrix, point_descendent_table, projective_space_kring
+from qkzero import SeriesMatrix, descendent_euler, point_kring, projective_space_kring
 from qkzero.cli import main
 from qkzero.correlators import CorrelatorTable
 
 from oracles import degree_zero_descendent_table
 
 DATA = Path(__file__).parent / "data"
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def empty_point_table():
+    return CorrelatorTable.empty(point_kring(), 0, {"type": "point"})
+
+
+def run_fresh(*args):
+    """The CLI in a fresh interpreter, so an uncaught exception would show
+    as a traceback."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [
+        str(SRC), env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "qkzero.cli", *args],
+        capture_output=True, text=True, env=env, timeout=60)
 
 
 def run_cli(args, capsys):
@@ -196,10 +212,8 @@ def test_qde_check_point(capsys):
 
 
 def test_qde_check_flags_perturbed_descendent(tmp_path, capsys):
-    table = point_descendent_table(7, 3)
-    base = table.descendent_value((), (0, 0, 0), (0, 1))
-    table = table.with_descendent_entry((), (0, 0, 0), (0, 1),
-                                        base + Fraction(1, 9))
+    table = empty_point_table().with_descendent_entry(
+        (), (0, 0, 0), (0, 1), descendent_euler((0, 0, 0, 1)) + Fraction(1, 9))
     path = tmp_path / "table.json"
     path.write_text(json.dumps(table.to_json_dict()))
     code, out, err = run_cli(
@@ -235,22 +249,23 @@ def test_qde_check_differentiates_once_per_variable(tmp_path, capsys,
 
 
 def test_qde_check_needs_descendent_data_off_point(capsys):
-    code, _, err = run_cli(
+    # Degree-zero descendent values are computed, so no input is needed.
+    code, out, _ = run_cli(
         ["qde-check", "--target", "projective:1"], capsys)
-    assert code == 1
-    assert "descendent correlators" in err
+    assert code == 0
+    doc = json.loads(out)
+    assert [pair["pair"] for pair in doc["gwdvv_residuals"]] == [[0, 1]]
+    assert doc["gwdvv_residuals"][0]["max_residual"] == "0/1"
 
 
 def test_table_check_flags_violation(tmp_path, capsys):
-    table = point_descendent_table(6, 2)
-    doc = table.to_json_dict()
+    doc = empty_point_table().to_json_dict()
     # Insert a chain of unit insertions with one wrong link.
     doc["correlators"] = [
         {"beta": [], "insertions": [0, 0, 0], "value": "1/1"},
         {"beta": [], "insertions": [0, 0, 0, 0], "value": "1/1"},
         {"beta": [], "insertions": [0, 0, 0, 0, 0], "value": "3/2"},
     ]
-    doc["descendent_correlators"] = []
     path = tmp_path / "table.json"
     path.write_text(json.dumps(doc))
     code, out, _ = run_cli(["table-check", "--input", str(path)], capsys)
@@ -261,7 +276,7 @@ def test_table_check_flags_violation(tmp_path, capsys):
 
 def test_table_check_passes_clean_table(tmp_path, capsys):
     path = tmp_path / "table.json"
-    path.write_text(json.dumps(point_descendent_table(6, 2).to_json_dict()))
+    path.write_text(json.dumps(empty_point_table().to_json_dict()))
     code, out, _ = run_cli(["table-check", "--input", str(path)], capsys)
     assert code == 0
     assert json.loads(out)["violations"] == []
@@ -277,16 +292,26 @@ def test_table_check_non_list_field_exits_one_without_traceback(tmp_path, field,
            "correlators": [], "descendent_correlators": [], field: value}
     path = tmp_path / "table.json"
     path.write_text(json.dumps(doc))
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [
-        str(Path(__file__).resolve().parent.parent / "src"), env.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "qkzero.cli", "table-check", "--input", str(path)],
-        capture_output=True, text=True, env=env, timeout=60)
+    proc = run_fresh("table-check", "--input", str(path))
     assert proc.returncode == 1
     assert proc.stdout == ""
     assert "Traceback" not in proc.stderr
     assert proc.stderr == f"error: {field} must be a list\n"
+
+
+@pytest.mark.parametrize("args", [
+    ["table-check", "--input", "{path}"],
+    ["descendent", "--input", "{path}"],
+    ["kring", "info", "--target", "custom:{path}"],
+])
+def test_deeply_nested_json_exits_one_without_traceback(tmp_path, args):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100000 + "]" * 100000)
+    proc = run_fresh(*(arg.format(path=path) for arg in args))
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr == f"error: {path}: JSON nested too deeply\n"
 
 
 def test_table_check_requires_input(capsys):
@@ -323,7 +348,7 @@ def test_output_file_mirrors_stdout(tmp_path, capsys):
 
 def test_target_must_agree_with_input_ring(tmp_path, capsys):
     path = tmp_path / "table.json"
-    path.write_text(json.dumps(point_descendent_table(5, 0).to_json_dict()))
+    path.write_text(json.dumps(empty_point_table().to_json_dict()))
     code, _, err = run_cli(
         ["potential", "--target", "projective:1", "--input", str(path)],
         capsys)
@@ -343,3 +368,30 @@ def test_target_must_agree_with_input_ring(tmp_path, capsys):
 def test_bad_invocations_exit_one(args, capsys):
     code, _, _ = run_cli(args, capsys)
     assert code == 1
+
+
+@pytest.mark.parametrize("index,part", [
+    (" 2,+3,\u0663,1", "' 2'"),
+    ("2,+3,0,1", "'+3'"),
+    ("2,3,\u0663,1", "'\u0663'"),
+    ("1_0,0,0", "'1_0'"),
+    ("2,3,,1", "''"),
+])
+def test_descendent_index_parts_must_be_ascii_integers(index, part, capsys):
+    code, out, err = run_cli(["descendent", index], capsys)
+    assert code == 1
+    assert out == ""
+    assert err == f"error: index part {part} is not an integer\n"
+
+
+@pytest.mark.parametrize("args,message", [
+    # argparse takes a leading minus for an option
+    (["descendent", "-1,0,0"], "unrecognized arguments: -1,0,0\n"),
+    (["descendent", "--", "-1,0,0"],
+     "error: cotangent powers must be non-negative\n"),
+])
+def test_descendent_negative_power_exits_one(args, message, capsys):
+    code, out, err = run_cli(args, capsys)
+    assert code == 1
+    assert out == ""
+    assert err.endswith(message)

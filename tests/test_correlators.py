@@ -16,16 +16,12 @@ from qkzero import (
     ModuliNonexistent,
     SchemaError,
     beta_zero_correlator,
-    descendent_euler,
     effective_degrees,
     load_correlators,
-    point_descendent_table,
     point_kring,
     projective_space_kring,
     table_consistency_check,
 )
-
-from oracles import closed_form_single
 
 P1 = projective_space_kring(1)
 
@@ -49,6 +45,12 @@ def test_beta_zero_projective_values():
 def test_beta_zero_needs_three_points():
     with pytest.raises(ModuliNonexistent):
         beta_zero_correlator(P1, (0, 1))
+
+
+@pytest.mark.parametrize("insertions", [(0, 1, 2), (-1, 0, 0)])
+def test_beta_zero_rejects_out_of_range_insertion(insertions):
+    with pytest.raises(ValueError, match="out of range"):
+        beta_zero_correlator(P1, insertions)
 
 
 @given(st.lists(st.integers(0, 2), min_size=3, max_size=6))
@@ -190,19 +192,3 @@ def test_consistency_check_flags_single_perturbation():
     assert violation["insertions"] == [0, 0, 1, 1]
     assert violation["parent_insertions"] == [0, 1, 1]
     assert violation["value"] == "8/7"
-
-
-def test_point_descendent_table_values():
-    table = point_descendent_table(6, 3)
-    for n in range(3, 7):
-        for d in range(4):
-            value = table.descendent_value((), (0,) * (n - 1), (0, d))
-            assert value == closed_form_single(n, d)
-            assert value == descendent_euler((0,) * (n - 1) + (d,))
-
-
-def test_point_descendent_table_round_trip():
-    table = point_descendent_table(5, 2)
-    back = load_correlators(table.to_json_dict())
-    assert back.descendent_entries == table.descendent_entries
-    assert back.ring == point_kring()

@@ -13,13 +13,13 @@ import qkzero.frobenius as frobenius
 from qkzero import (
     CorrelatorTable,
     IncompleteTable,
+    KClass,
     SeriesMatrix,
     TruncatedSeries,
     assemble_potential,
     build_frobenius_data,
     classical_limit_residual,
     flatness_residuals,
-    matrix_inverse_direct,
     matrix_inverse_geometric,
     point_kring,
     product_tensor,
@@ -29,7 +29,7 @@ from qkzero import (
     wdvv_residual,
 )
 
-from oracles import chi_exponential_series, sympy_wdvv_tensor
+from oracles import chi_exponential_series, matrix_inverse_direct, sympy_wdvv_tensor
 
 POINT = point_kring()
 P1 = projective_space_kring(1)
@@ -190,6 +190,23 @@ def test_positive_degree_terms_flow_into_potential():
     assert p.series.coefficient({"Q0": 1}) == 1
     assert p.series.coefficient({"Q0": 1, "t0": 2}) == Fraction(1, 2)
     assert p.series.coefficient({"Q0": 1, "t0": 1, "t1": 1}) == 1
+
+
+def test_potential_forms_one_class_product_per_multiset(monkeypatch):
+    # P^4 at T = 8 has 1,286 insertion multisets of sizes 1..8; the ones of
+    # sizes 1 and 2 are the prefixes of the 1,266 the potential sums over.
+    # Multiplying each multiset up from the unit would take 8,545 products.
+    calls = []
+    mul = KClass.__mul__
+
+    def counted(self, other):
+        calls.append(None)
+        return mul(self, other)
+
+    monkeypatch.setattr(KClass, "__mul__", counted)
+    p4 = projective_space_kring(4)
+    assemble_potential(p4, empty_table(p4, 1, {"type": "projective", "n": 4}), 8, 0)
+    assert len(calls) == 1286
 
 
 def test_wdvv_detects_injected_quartic():

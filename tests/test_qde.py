@@ -2,7 +2,8 @@
 
 The point target has a closed form and an order-by-order integration
 oracle; projective targets at degree zero have an independent table built
-from the product splitting of the moduli space.  Both must satisfy the
+from the product splitting of the moduli space, which the values computed
+for missing degree-zero keys must reproduce.  Both must satisfy the
 connection equation and generalized associativity exactly, and a single
 perturbed table entry must surface in the residual with a footprint that
 linearity predicts coefficient by coefficient.
@@ -15,23 +16,24 @@ from math import comb, factorial
 import pytest
 
 from qkzero import (
+    CorrelatorTable,
     IncompleteTable,
     RingMismatch,
-    SeriesMatrix,
     TruncatedSeries,
     TruncationMismatch,
     assemble_fundamental_solution,
     assemble_potential,
     build_frobenius_data,
+    descendent_euler,
     gwdvv_residuals,
     is_complete,
-    point_descendent_table,
     point_kring,
     projective_space_kring,
     qde_residual,
+    ring_from_target,
 )
 
-from oracles import degree_zero_descendent_table, integrate_point_qde
+from oracles import degree_zero_descendent_table, integrate_point_qde, zero_matrix
 
 T_POINT = 6
 M_POINT = 4
@@ -39,7 +41,7 @@ M_POINT = 4
 
 def _point_setup(t_order=T_POINT, q_order=M_POINT):
     ring = point_kring()
-    table = point_descendent_table(t_order + 2, q_order)
+    table = CorrelatorTable.empty(ring, 0, {"type": "point"})
     potential = assemble_potential(ring, table, t_order + 3, 0, q_order=q_order)
     fd = build_frobenius_data(potential)
     solution = assemble_fundamental_solution(ring, table, t_order, 0, q_order)
@@ -115,9 +117,8 @@ def test_transposed_action_fails_equation():
 def test_perturbed_entry_footprint():
     delta = Fraction(3, 7)
     ring, table, fd, solution = _point_setup()
-    base = table.descendent_value((), (0, 0, 0, 0), (0, 2))
     perturbed = table.with_descendent_entry(
-        (), (0, 0, 0, 0), (0, 2), base + delta)
+        (), (0, 0, 0, 0), (0, 2), descendent_euler((0, 0, 0, 0, 2)) + delta)
     bad = assemble_fundamental_solution(ring, perturbed, T_POINT, 0, M_POINT)
 
     # The entry enters S once, through the n = 3 insertion block.
@@ -149,14 +150,33 @@ def test_perturbed_entry_footprint():
 
 
 def test_missing_marked_entry_reports_key():
-    ring = point_kring()
-    table = point_descendent_table(T_POINT + 2, M_POINT)
+    # Degree-zero keys are computed; a positive-degree one must be supplied.
+    ring = projective_space_kring(1)
+    table = CorrelatorTable.empty(ring, 1, {"type": "projective", "n": 1})
     with pytest.raises(IncompleteTable) as excinfo:
-        assemble_fundamental_solution(ring, table, T_POINT, 0, M_POINT + 1)
-    assert excinfo.value.beta == ()
-    assert excinfo.value.insertions == (0, 0)
-    assert excinfo.value.marked == (0, M_POINT + 1)
+        assemble_fundamental_solution(ring, table, 2, 1, 1)
+    assert excinfo.value.beta == (1,)
+    assert excinfo.value.insertions == (0,)
+    assert excinfo.value.marked == (0, 0)
     assert "marked" in str(excinfo.value)
+
+
+@pytest.mark.parametrize("target,t_order,q_order", [
+    ({"type": "point"}, 6, 4),
+    ({"type": "projective", "n": 1}, 5, 3),
+    ({"type": "projective", "n": 2}, 4, 2),
+    ({"type": "projective", "n": 3}, 3, 2),
+])
+def test_degree_zero_marked_values_match_product_splitting_oracle(
+        target, t_order, q_order):
+    ring = ring_from_target(target)
+    oracle = degree_zero_descendent_table(ring, target, t_order, q_order)
+    empty = CorrelatorTable.empty(ring, 1, target)
+    computed = assemble_fundamental_solution(ring, empty, t_order, 0, q_order)
+    expected = assemble_fundamental_solution(ring, oracle, t_order, 0, q_order)
+    for i in range(ring.rank):
+        for j in range(ring.rank):
+            assert computed.matrix.entries[i][j] == expected.matrix.entries[i][j], (i, j)
 
 
 def test_mismatched_descendent_orders_rejected():
@@ -185,6 +205,6 @@ def test_window_is_joint_certification():
 def test_incompleteness_detected_on_degenerate_matrix():
     ring, _, _, solution = _point_setup(t_order=3, q_order=1)
     degenerate = replace(
-        solution, matrix=SeriesMatrix.zero(solution.spec, ring.rank))
+        solution, matrix=zero_matrix(solution.spec, ring.rank))
     assert is_complete(solution)
     assert not is_complete(degenerate)

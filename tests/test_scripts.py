@@ -47,5 +47,5 @@ def test_projective_suite_checks_read_ok():
     assert proc.returncode == 0, proc.stderr
     checks = [line.rsplit(": ", 1)[1] for line in proc.stdout.splitlines()
               if line.startswith("  ") and ": " in line]
-    assert len(checks) == 2 * 5
+    assert len(checks) == 2 * 6
     assert set(checks) == {"ok"}
