@@ -48,6 +48,7 @@ EXIT_NOT_REDUCIBLE = 2
 EXIT_RESIDUAL = 3
 
 _INDEX_PART_RE = re.compile(r"-?[0-9]+")
+_DIMENSION_RE = re.compile(r"[0-9]+")
 
 
 @dataclass(frozen=True)
@@ -107,7 +108,7 @@ def parse_target(text: str) -> dict:
         return {"type": "point"}
     if text.startswith("projective:"):
         tail = text.split(":", 1)[1]
-        if not tail.isdigit():
+        if not _DIMENSION_RE.fullmatch(tail):
             raise ValueError(f"projective target needs a dimension: {text!r}")
         return {"type": "projective", "n": int(tail)}
     if text.startswith("custom:"):

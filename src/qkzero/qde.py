@@ -17,9 +17,9 @@ action of (e_k *) on coordinates.  Conjugating by the metric turns one
 into the other, and self-adjointness of the product collapses the
 conjugation to a plain transpose, which is what the residuals use.
 Both identities are checked exactly on the largest window the two
-truncations certify jointly; the q window never shrinks because
-multiplying by the truncated geometric series only consumes known q
-coefficients.
+truncations certify jointly; the q window never shrinks because 1/(1-q)
+acts as a running sum in q, whose q^m coefficient reads only the known
+q^0..q^m coefficients.
 """
 
 from __future__ import annotations
@@ -28,10 +28,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations_with_replacement
-from math import factorial
+from math import comb, factorial
 
 from .correlators import CorrelatorTable, degree_zero_chi, effective_degrees
-from .descendents import descendent_euler
 from .errors import IncompleteTable, RingMismatch, TruncationMismatch
 from .frobenius import FrobeniusData, ResidualSummary, residual_summary, window_dict
 from .kring import KRingPresentation
@@ -93,8 +92,8 @@ def assemble_fundamental_solution(ring: KRingPresentation, table: CorrelatorTabl
         n_min = 1 if degree_zero else 0
         for n in range(n_min, t_order + 1):
             if degree_zero:
-                euler = [descendent_euler((0,) * (n + 1) + (d,))
-                         for d in range(q_order + 1)]
+                # E(n+2; 0,...,0,d) = binom(n-1+d, d) (Lee, IMRN 1997)
+                euler = [comb(n - 1 + d, d) for d in range(q_order + 1)]
             for kappa in combinations_with_replacement(range(rank), n):
                 counts = [0] * rank
                 for idx in kappa:
@@ -147,20 +146,20 @@ def _aligned_window(solution: QDESolution, fd: FrobeniusData) -> int:
 
 
 def qde_residual(solution: QDESolution, fd: FrobeniusData) -> list[ResidualSummary]:
-    """dS/dt_k minus the truncated 1/(1-q) times (e_k *) S, one summary per k."""
+    """dS/dt_k minus 1/(1-q) times (e_k *) S, one summary per k."""
     window = _aligned_window(solution, fd)
     rank = solution.ring.rank
     s_w = solution.matrix.truncated(t_order=window)
     spec_w = s_w.spec
-    geom = TruncatedSeries.geometric_q(spec_w)
     summaries = []
     for k in range(rank):
         ds = solution.partials[k].truncated(t_order=window)
         # transpose: the action on the covariant index of S
         a_k = fd.a_matrices[k].truncated(t_order=window).transpose()
-        residual = ds - (a_k * s_w).scaled(geom)
+        product = a_k * s_w
         pieces = [
-            ({"k": k, "entry": [i, j]}, residual.entries[i][j])
+            ({"k": k, "entry": [i, j]},
+             ds.entries[i][j] - product.entries[i][j].over_one_minus_q())
             for i in range(rank) for j in range(rank)
         ]
         summaries.append(residual_summary(pieces, window_dict(spec_w)))

@@ -202,17 +202,6 @@ class TruncatedSeries:
             exp[spec.var_position(name)] += p
         return cls(spec, {tuple(exp): _as_fraction(value)})
 
-    @classmethod
-    def geometric_q(cls, spec: SeriesSpec) -> "TruncatedSeries":
-        """The truncation of 1/(1-q): sum of q^m for m up to the q order."""
-        qpos = spec.nvars - 1
-        terms: dict[Exponent, Fraction] = {}
-        for m in range(spec.q_order + 1):
-            exp = [0] * spec.nvars
-            exp[qpos] = m
-            terms[tuple(exp)] = Fraction(1)
-        return cls(spec, terms)
-
     # -- inspection --------------------------------------------------------
 
     def coefficient(self, powers: Mapping[str, int]) -> Fraction:
@@ -253,7 +242,8 @@ class TruncatedSeries:
     def _trusted(cls, spec: SeriesSpec, coeffs: dict[Exponent, Fraction]) -> "TruncatedSeries":
         """Wrap coefficients already known to be in-window nonzero Fractions
         keyed by exponent tuples, skipping the checks of ``__post_init__``.
-        Only the ring operations below may call this."""
+        Only the ring operations below, ``over_one_minus_q`` and
+        ``truncated`` may call this."""
         series = object.__new__(cls)
         object.__setattr__(series, "spec", spec)
         object.__setattr__(series, "coeffs", coeffs)
@@ -348,10 +338,33 @@ class TruncatedSeries:
                 out[exp[:pos] + (k - 1,) + exp[pos + 1 :]] = k * v
         return TruncatedSeries._trusted(spec, out)
 
+    def over_one_minus_q(self) -> "TruncatedSeries":
+        """Product with 1/(1-q), truncated to the window.
+
+        Terms sharing their t and Novikov exponents form one row in q; the
+        q^m coefficient of the product is the running sum of that row's
+        q^0..q^m coefficients, so only in-window terms are ever formed.
+        """
+        rows: dict[Exponent, dict[int, Fraction]] = {}
+        for exp, v in self.coeffs.items():
+            rows.setdefault(exp[:-1], {})[exp[-1]] = v
+        out: dict[Exponent, Fraction] = {}
+        top = self.spec.q_order
+        for base, row in rows.items():
+            total = 0
+            for m in range(min(row), top + 1):
+                total += row.get(m, 0)
+                if total:
+                    out[base + (m,)] = total
+        return TruncatedSeries._trusted(self.spec, out)
+
     def truncated(self, t_order: int | None = None, novikov_order: int | None = None,
                   q_order: int | None = None) -> "TruncatedSeries":
+        # Lowering orders only drops terms; every kept term is already valid.
         spec = self.spec.truncated(t_order, novikov_order, q_order)
-        return TruncatedSeries(spec, dict(self.coeffs))
+        admits = spec.admits
+        return TruncatedSeries._trusted(
+            spec, {e: v for e, v in self.coeffs.items() if admits(e)})
 
     # -- serialization -----------------------------------------------------
 
@@ -511,7 +524,7 @@ class SeriesMatrix:
         if self.spec != other.spec:
             raise IncompatibleSeries("matrix specs differ")
 
-    def scaled(self, value: "TruncatedSeries | RationalLike") -> "SeriesMatrix":
+    def scaled(self, value: RationalLike) -> "SeriesMatrix":
         return SeriesMatrix(tuple(
             tuple(entry * value for entry in row) for row in self.entries
         ))
@@ -553,11 +566,14 @@ class SeriesMatrix:
 
 def matrix_inverse_geometric(mat: SeriesMatrix) -> SeriesMatrix:
     """Invert G = g + F (g the constant term, F without constant term) by the
-    geometric series g^-1 - g^-1 F g^-1 + g^-1 F g^-1 F g^-1 - ...
+    geometric series sum of M^k g^-1 over k >= 0, with M = -g^-1 F.
 
-    Each extra factor of F raises the minimal total degree, so the series
-    terminates within the truncation budget.  Raises SingularMetric when the
-    constant term g is not invertible.
+    The series is summed by squaring: with P = M^(2^i) and acc the sum over
+    k < 2^i, acc + P acc is the sum over k < 2^(i+1).  M has no constant
+    term, so M^k vanishes once k exceeds the truncation budget, and the
+    loop stops after at most bit_length(budget) + 1 rounds of two matrix
+    products each.  Raises SingularMetric when the constant term g is not
+    invertible.
     """
     g = mat.constant_matrix()
     g_inv = try_rational_inverse(g)
@@ -566,12 +582,11 @@ def matrix_inverse_geometric(mat: SeriesMatrix) -> SeriesMatrix:
     spec = mat.spec
     g_inv_m = SeriesMatrix.from_rational_matrix(spec, g_inv)
     f = mat - SeriesMatrix.from_rational_matrix(spec, g)
-    minus_step = (g_inv_m * f).scaled(-1)
+    power = (g_inv_m * f).scaled(-1)
     acc = g_inv_m
-    term = g_inv_m
-    for _ in range(spec.budget()):
-        term = minus_step * term
-        if term.is_zero():
+    for _ in range(spec.budget().bit_length() + 1):
+        if power.is_zero():
             break
-        acc = acc + term
+        acc = acc + power * acc
+        power = power * power
     return acc

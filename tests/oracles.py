@@ -4,7 +4,8 @@ Each oracle reaches its value by a route the library does not use: closed
 forms, brute-force enumeration over all reduction orders, direct Euler
 characteristic expansion, order-by-order integration of the differential
 equation, a sympy re-implementation of the associativity residual, the
-all-pairs series product the library's window-aware kernel replaced, and
+all-pairs series product the library's window-aware kernel replaced, the
+truncated geometric series in q the library's running q-sum replaced, and
 Gauss-Jordan inversion over the series ring beside the library's geometric
 inverse.
 """
@@ -169,6 +170,17 @@ def naive_product(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
             if a.spec.admits(exp):
                 out[exp] = out.get(exp, Fraction(0)) + va * vb
     return TruncatedSeries(a.spec, out)
+
+
+def geometric_q(spec: SeriesSpec) -> TruncatedSeries:
+    """The truncation of 1/(1-q): sum of q^m for m up to the q order."""
+    qpos = spec.nvars - 1
+    terms: dict[tuple[int, ...], Fraction] = {}
+    for m in range(spec.q_order + 1):
+        exp = [0] * spec.nvars
+        exp[qpos] = m
+        terms[tuple(exp)] = Fraction(1)
+    return TruncatedSeries(spec, terms)
 
 
 # -- series inverse oracles -------------------------------------------------

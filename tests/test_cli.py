@@ -225,6 +225,21 @@ def test_qde_check_flags_perturbed_descendent(tmp_path, capsys):
     assert "NONZERO" in err
 
 
+@pytest.mark.parametrize("name,t_order,desc_order", [
+    # <pt, pt, pt, tau_1(pt)> raised by 1/9
+    ("qde_point_perturbed", "8", "6"),
+    # one degree-zero marked entry of P^2 raised by 2/5
+    ("qde_p2_perturbed", "5", "3"),
+])
+def test_qde_check_perturbed_table_matches_golden(name, t_order, desc_order, capsys):
+    code, out, err = run_cli(
+        ["qde-check", "--input", str(DATA / f"{name}_input.json"),
+         "--t-order", t_order, "--desc-order", desc_order], capsys)
+    assert code == 3
+    assert out == (DATA / f"{name}.golden.json").read_text()
+    assert err == "NONZERO residuals found; see report\n"
+
+
 def test_qde_check_differentiates_once_per_variable(tmp_path, capsys,
                                                    monkeypatch):
     ring = projective_space_kring(2)
@@ -327,6 +342,17 @@ def test_kring_info(capsys):
     doc = json.loads(out)
     assert doc["rank"] == 3
     assert len(doc["pairing"]) == 3
+
+
+@pytest.mark.parametrize("target", [
+    "projective:\u0663", "projective:\u00b2", "projective:+3", "projective: 3",
+    "projective:",
+])
+def test_projective_dimension_must_be_ascii_digits(target, capsys):
+    code, out, err = run_cli(["kring", "info", "--target", target], capsys)
+    assert code == 1
+    assert out == ""
+    assert err == f"error: projective target needs a dimension: {target!r}\n"
 
 
 def test_kring_info_requires_target(capsys):

@@ -158,6 +158,28 @@ def test_product_tensor_matches_pipeline():
     assert a_matrices == fd.a_matrices
 
 
+def test_geometric_inverse_sums_by_squaring(monkeypatch):
+    # The point metric of a qde-check at t and q order 60: 121 is its
+    # truncation budget.  Summing the geometric series one power of M at a
+    # time would take 63 matrix products; squaring takes two per doubling.
+    potential = assemble_potential(POINT, empty_table(POINT), 63, 0, q_order=60)
+    gm = quantized_metric(potential)
+    budget = gm.spec.budget()
+    assert budget == 121
+    calls = []
+    mul = SeriesMatrix.__mul__
+
+    def counted(self, other):
+        calls.append(None)
+        return mul(self, other)
+
+    monkeypatch.setattr(SeriesMatrix, "__mul__", counted)
+    ginv = matrix_inverse_geometric(gm)
+    assert len(calls) <= 2 * (budget.bit_length() + 1) + 1
+    monkeypatch.undo()
+    assert gm * ginv == SeriesMatrix.identity(gm.spec, 1)
+
+
 def test_build_rejects_inverse_failing_certificate(monkeypatch):
     # One wrong coefficient at the top of the window, the order an inverse
     # summed from too few geometric terms would get wrong.

@@ -33,7 +33,12 @@ from qkzero import (
     ring_from_target,
 )
 
-from oracles import degree_zero_descendent_table, integrate_point_qde, zero_matrix
+from oracles import (
+    degree_zero_descendent_table,
+    geometric_q,
+    integrate_point_qde,
+    zero_matrix,
+)
 
 T_POINT = 6
 M_POINT = 4
@@ -68,6 +73,18 @@ def test_point_solution_matches_closed_form():
         for d in range(M_POINT + 1):
             expected = Fraction(comb(n + d - 1, d), factorial(n))
             assert entry.coefficient({"t0": n, "q": d}) == expected
+
+
+def test_point_solution_row_matches_lee_evaluator():
+    # The solution computes E(n+2; 0,...,0,d) as a binomial; Lee's general
+    # evaluator checks that row independently on a large window.
+    t_order = q_order = 40
+    _, _, _, solution = _point_setup(t_order, q_order)
+    entry = solution.matrix.entries[0][0]
+    for n in range(1, t_order + 1):
+        for d in range(q_order + 1):
+            expected = Fraction(descendent_euler((0,) * (n + 1) + (d,)), factorial(n))
+            assert entry.coefficient({"t0": n, "q": d}) == expected, (n, d)
 
 
 def test_point_solution_matches_integration_oracle():
@@ -133,7 +150,7 @@ def test_perturbed_entry_footprint():
     s_entry = bad.matrix.entries[0][0]
     ds = s_entry.derivative("t0").truncated(t_order=window)
     a_entry = fd.a_matrices[0].entries[0][0].truncated(t_order=window)
-    geom = TruncatedSeries.geometric_q(ds.spec)
+    geom = geometric_q(ds.spec)
     residual = ds - a_entry * s_entry.truncated(t_order=window) * geom
     expected = TruncatedSeries.monomial(ds.spec, {"t0": 2, "q": 2}, delta / 2)
     for e in range(2, M_POINT + 1):

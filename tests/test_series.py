@@ -6,7 +6,7 @@ from fractions import Fraction
 from math import factorial
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qkzero import (
@@ -19,7 +19,13 @@ from qkzero import (
     UnknownVariable,
     matrix_inverse_geometric,
 )
-from oracles import NotInvertible, matrix_inverse_direct, naive_product, reciprocal
+from oracles import (
+    NotInvertible,
+    geometric_q,
+    matrix_inverse_direct,
+    naive_product,
+    reciprocal,
+)
 
 SPEC1 = SeriesSpec(num_t=1, num_novikov=0, t_order=4, novikov_order=0, q_order=0)
 
@@ -234,6 +240,37 @@ def test_product_with_cancelling_unit_coefficients_matches_oracle(operands):
     """Coefficients of +-1 on exponents 0 and 1: about half the draws have a
     product coefficient whose pair contributions sum to zero."""
     _assert_kernel_matches_oracle(*operands)
+
+
+# -- 1/(1-q) as a running q-sum against the geometric product ----------------
+
+NO_Q_SPEC = SeriesSpec(num_t=1, num_novikov=1, t_order=3, novikov_order=2, q_order=0)
+LONG_Q_SPEC = SeriesSpec(num_t=1, num_novikov=1, t_order=1, novikov_order=1, q_order=5)
+Q_SPECS = KERNEL_SPECS + (NO_Q_SPEC, LONG_Q_SPEC)
+
+
+def _long_q_rows(spec: SeriesSpec):
+    """t and Novikov exponents of 0 or 1 and coefficients of +-1: few rows,
+    each with several q terms, so running sums often return to zero."""
+    exps = st.tuples(*([st.integers(0, 1)] * (spec.num_t + spec.num_novikov)
+                       + [st.integers(0, max(spec.q_order, 0))]))
+    coeff = st.sampled_from([Fraction(-1), Fraction(1)])
+    return st.dictionaries(exps, coeff, max_size=12).map(
+        lambda d: TruncatedSeries(spec, d))
+
+
+@given(st.sampled_from(Q_SPECS).flatmap(
+    lambda spec: st.one_of(_window_series(spec, (0, 12)), _long_q_rows(spec))))
+@example(TruncatedSeries(LONG_Q_SPEC, {(1, 0, 0): 1, (1, 0, 2): -1, (1, 0, 4): 3}))
+@example(TruncatedSeries(NO_Q_SPEC, {(2, 1, 0): Fraction(-2, 3), (0, 0, 0): 1}))
+@settings(max_examples=100, deadline=None)
+def test_over_one_minus_q_matches_geometric_product(x):
+    result = x.over_one_minus_q()
+    assert result == x * geometric_q(x.spec)
+    assert result.spec == x.spec
+    for exp, value in result.coeffs.items():
+        assert type(exp) is tuple and x.spec.admits(exp)
+        assert type(value) is Fraction and value != 0
 
 
 @given(_series())
