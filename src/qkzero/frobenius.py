@@ -246,7 +246,7 @@ def residual_summary(pieces: list[tuple[dict, TruncatedSeries]],
             best = value
             witness = dict(label)
             witness["monomial"] = series.monomial_dict(exp)
-            witness["value"] = format_rational(series.coeffs[exp])
+            witness["value"] = format_rational(Fraction(series.nums[exp], series.den))
     return ResidualSummary(best, witness, window)
 
 
@@ -288,16 +288,14 @@ def classical_limit_residual(fd: FrobeniusData) -> ResidualSummary:
     structure constants at every t-order."""
     rank = fd.ring.rank
     spec3 = fd.product[0][0][0].spec
+    # Lowering the Novikov order to zero keeps exactly the degree-zero terms.
+    spec0 = spec3.truncated(novikov_order=0)
     pieces: list[tuple[dict, TruncatedSeries]] = []
     for i in range(rank):
         for j in range(rank):
             for k in range(rank):
-                sliced = {
-                    exp: v for exp, v in fd.product[i][j][k].coeffs.items()
-                    if spec3.degrees(exp)[1] == 0
-                }
-                diff = TruncatedSeries(spec3, sliced) - TruncatedSeries.constant(
-                    spec3, fd.ring.mult[i][j][k])
+                diff = (fd.product[i][j][k].truncated(novikov_order=0)
+                        - TruncatedSeries.constant(spec0, fd.ring.mult[i][j][k]))
                 pieces.append(({"indices": [i, j, k]}, diff))
     return residual_summary(pieces, window_dict(spec3))
 

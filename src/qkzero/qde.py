@@ -85,7 +85,6 @@ def assemble_fundamental_solution(ring: KRingPresentation, table: CorrelatorTabl
             if ring.pairing[i][j] != 0:
                 cells[i][j][zero_exp] = Fraction(ring.pairing[i][j])
 
-    qpos = spec.nvars - 1
     chi = degree_zero_chi(ring)
     for beta in effective_degrees(table.degree_rank, novikov_order):
         degree_zero = all(b == 0 for b in beta)
@@ -101,25 +100,25 @@ def assemble_fundamental_solution(ring: KRingPresentation, table: CorrelatorTabl
                 weight = Fraction(1)
                 for m in counts:
                     weight /= factorial(m)
+                # Within one cell the exponent (counts, beta, d) is unique.
+                base = tuple(counts) + beta
                 for i in range(rank):
                     insertions = tuple(sorted((i,) + kappa))
                     for j in range(rank):
-                        chi_ij = None
+                        cell = cells[i][j]
+                        chi_weight = None
                         for d in range(q_order + 1):
                             value = table.descendent_value(beta, insertions, (j, d))
-                            if value is None:
-                                if not degree_zero:
-                                    raise IncompleteTable(beta, insertions, (j, d))
-                                if chi_ij is None:
-                                    chi_ij = chi(insertions + (j,))
-                                value = chi_ij * euler[d]
-                            if value == 0:
-                                continue
-                            exp = list(counts) + list(beta) + [0]
-                            exp[qpos] = d
-                            key = tuple(exp)
-                            cells[i][j][key] = cells[i][j].get(key, Fraction(0)) \
-                                + value * weight
+                            if value is not None:
+                                value *= weight
+                            elif not degree_zero:
+                                raise IncompleteTable(beta, insertions, (j, d))
+                            else:
+                                if chi_weight is None:
+                                    chi_weight = chi(insertions + (j,)) * weight
+                                value = chi_weight * euler[d]
+                            if value:
+                                cell[base + (d,)] = value
     entries = tuple(
         tuple(TruncatedSeries(spec, cells[i][j]) for j in range(rank))
         for i in range(rank)

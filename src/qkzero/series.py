@@ -7,7 +7,8 @@ Every series in this package lives over three variable groups:
 * a single auxiliary variable ``q`` for descendent expansions.
 
 Truncation is tracked per group by total degree within the group, so a
-series "knows" which coefficients it certifies.  Coefficients are
+series "knows" which coefficients it certifies.  Coefficients are integer
+numerators over one shared denominator in lowest terms, read back as
 ``fractions.Fraction``; an absent exponent is an exact zero.  All values
 are exact rationals, never floats, and exponents are never negative.
 
@@ -22,7 +23,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from operator import add
 from typing import Iterable, Mapping
 
@@ -43,12 +44,12 @@ def format_rational(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
-_RATIONAL_RE = re.compile(r"^-?\d+(/\d+)?$")
+_RATIONAL_RE = re.compile(r"-?[0-9]+(/[0-9]+)?")
 
 
 def parse_rational(text: str) -> Fraction:
-    """Parse "p/q" or plain integer strings; reject anything else."""
-    if not isinstance(text, str) or not _RATIONAL_RE.match(text):
+    """Parse "p/q" or plain integer strings in ASCII digits; reject anything else."""
+    if not isinstance(text, str) or not _RATIONAL_RE.fullmatch(text):
         raise SchemaError(f"rational values must look like p/q, got {text!r}")
     try:
         return Fraction(text)
@@ -113,23 +114,12 @@ class SeriesSpec:
                 return self.num_t + i
         raise UnknownVariable(f"{name!r} not among {self.vars}")
 
-    def group_of(self, name: str) -> str:
-        pos = self.var_position(name)
-        if pos < self.num_t:
-            return "t"
-        if pos < self.num_t + self.num_novikov:
-            return "novikov"
-        return "q"
-
     def after_derivative(self, name: str) -> "SeriesSpec":
-        group = self.group_of(name)
-        return SeriesSpec(
-            self.num_t,
-            self.num_novikov,
-            self.t_order - (group == "t"),
-            self.novikov_order - (group == "novikov"),
-            self.q_order - (group == "q"),
-        )
+        """The spec with the order of ``name``'s group lowered by one."""
+        pos = self.var_position(name)
+        in_t, in_q = pos < self.num_t, pos == self.nvars - 1
+        return SeriesSpec(self.num_t, self.num_novikov, self.t_order - in_t,
+                          self.novikov_order - (not in_t and not in_q), self.q_order - in_q)
 
     def truncated(self, t_order: int | None = None, novikov_order: int | None = None,
                   q_order: int | None = None) -> "SeriesSpec":
@@ -150,45 +140,68 @@ class SeriesSpec:
         return max(self.t_order, 0) + max(self.novikov_order, 0) + max(self.q_order, 0)
 
 
-def _as_fraction(value: RationalLike) -> Fraction:
-    if isinstance(value, Fraction):
+def _exact(value: RationalLike) -> RationalLike:
+    """The value itself, once it is known to be an exact rational."""
+    if isinstance(value, (Fraction, int)):
         return value
-    if isinstance(value, int):
-        return Fraction(value)
     raise TypeError(f"coefficients must be exact rationals, got {type(value).__name__}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class TruncatedSeries:
-    """A sparse exact power series truncated per variable group."""
+    """A sparse exact power series truncated per variable group.
+
+    Coefficients are stored as nonzero integer numerators ``nums`` over one
+    shared denominator ``den``, in lowest terms: ``den > 0``,
+    ``gcd(den, *nums.values()) == 1``, and the zero series has ``den == 1``.
+    The form is canonical, so equality compares ``(spec, den, nums)``.
+    """
 
     spec: SeriesSpec
-    coeffs: Mapping[Exponent, Fraction]
+    den: int
+    nums: Mapping[Exponent, int]
 
-    def __post_init__(self) -> None:
-        clean: dict[Exponent, Fraction] = {}
-        for exp, value in self.coeffs.items():
+    def __new__(cls, spec: SeriesSpec,
+                coeffs: Mapping[Exponent, RationalLike]) -> "TruncatedSeries":
+        nvars, admits = spec.nvars, spec.admits
+        terms: dict[Exponent, RationalLike] = {}
+        for exp, value in coeffs.items():
             exp = tuple(exp)
-            if len(exp) != self.spec.nvars:
-                raise ValueError(f"exponent {exp} has wrong length for {self.spec.vars}")
-            if any(e < 0 for e in exp):
+            if len(exp) != nvars:
+                raise ValueError(f"exponent {exp} has wrong length for {spec.vars}")
+            if min(exp) < 0:
                 raise ValueError(f"negative exponent in {exp}")
-            if not self.spec.admits(exp):
+            if not admits(exp):
                 continue
-            v = _as_fraction(value)
-            if v != 0:
-                clean[exp] = v
-        object.__setattr__(self, "coeffs", clean)
+            if _exact(value):
+                terms[exp] = value
+        den = lcm(*(v.denominator for v in terms.values()))
+        return cls._trusted(spec, {exp: v.numerator * (den // v.denominator)
+                                   for exp, v in terms.items()}, den)
+
+    @classmethod
+    def _trusted(cls, spec: SeriesSpec, nums: dict[Exponent, int], den: int) -> "TruncatedSeries":
+        """Reduce nonzero in-window numerators over a positive denominator to
+        lowest terms and wrap them; only this class may skip the checks."""
+        g = gcd(den, *nums.values())
+        if g != 1:
+            nums = {exp: num // g for exp, num in nums.items()}
+            den //= g
+        series = object.__new__(cls)
+        object.__setattr__(series, "spec", spec)
+        object.__setattr__(series, "den", den)
+        object.__setattr__(series, "nums", nums)
+        return series
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
     def zero(cls, spec: SeriesSpec) -> "TruncatedSeries":
-        return cls(spec, {})
+        return cls._trusted(spec, {}, 1)
 
     @classmethod
     def constant(cls, spec: SeriesSpec, value: RationalLike) -> "TruncatedSeries":
-        return cls(spec, {(0,) * spec.nvars: _as_fraction(value)})
+        return cls(spec, {(0,) * spec.nvars: value})
 
     @classmethod
     def one(cls, spec: SeriesSpec) -> "TruncatedSeries":
@@ -200,33 +213,37 @@ class TruncatedSeries:
         exp = [0] * spec.nvars
         for name, p in powers.items():
             exp[spec.var_position(name)] += p
-        return cls(spec, {tuple(exp): _as_fraction(value)})
+        return cls(spec, {tuple(exp): value})
 
     # -- inspection --------------------------------------------------------
+
+    @property
+    def coeffs(self) -> dict[Exponent, Fraction]:
+        """Every stored coefficient as a reduced Fraction, in a fresh dict."""
+        den = self.den
+        return {exp: Fraction(num, den) for exp, num in self.nums.items()}
 
     def coefficient(self, powers: Mapping[str, int]) -> Fraction:
         exp = [0] * self.spec.nvars
         for name, p in powers.items():
             exp[self.spec.var_position(name)] += p
-        return self.coeffs.get(tuple(exp), Fraction(0))
+        return Fraction(self.nums.get(tuple(exp), 0), self.den)
 
     @property
     def constant_term(self) -> Fraction:
-        return self.coeffs.get((0,) * self.spec.nvars, Fraction(0))
+        return Fraction(self.nums.get((0,) * self.spec.nvars, 0), self.den)
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.nums
 
     def max_abs_coefficient(self) -> tuple[Fraction, Exponent | None]:
         """Largest absolute coefficient and its exponent; ties go to the
         lexicographically smallest exponent so reports are deterministic."""
-        best: Fraction = Fraction(0)
-        where: Exponent | None = None
-        for exp in sorted(self.coeffs):
-            v = abs(self.coeffs[exp])
-            if v > best:
-                best, where = v, exp
-        return best, where
+        if not self.nums:
+            return Fraction(0), None
+        top = max(map(abs, self.nums.values()))
+        where = min(exp for exp, num in self.nums.items() if abs(num) == top)
+        return Fraction(top, self.den), where
 
     def monomial_dict(self, exp: Exponent) -> dict[str, int]:
         names = self.spec.vars
@@ -238,30 +255,27 @@ class TruncatedSeries:
         if self.spec != other.spec:
             raise IncompatibleSeries(f"{self.spec} vs {other.spec}")
 
-    @classmethod
-    def _trusted(cls, spec: SeriesSpec, coeffs: dict[Exponent, Fraction]) -> "TruncatedSeries":
-        """Wrap coefficients already known to be in-window nonzero Fractions
-        keyed by exponent tuples, skipping the checks of ``__post_init__``.
-        Only the ring operations below, ``over_one_minus_q`` and
-        ``truncated`` may call this."""
-        series = object.__new__(cls)
-        object.__setattr__(series, "spec", spec)
-        object.__setattr__(series, "coeffs", coeffs)
-        return series
-
     def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         self._require_same_spec(other)
-        out = dict(self.coeffs)
-        for exp, v in other.coeffs.items():
-            total = out.get(exp, 0) + v
+        if not other.nums:
+            return self
+        if not self.nums:
+            return other
+        den = lcm(self.den, other.den)
+        scale, other_scale = den // self.den, den // other.den
+        out = {exp: num * scale for exp, num in self.nums.items()}
+        get = out.get
+        for exp, num in other.nums.items():
+            total = get(exp, 0) + num * other_scale
             if total:
                 out[exp] = total
             else:
                 del out[exp]
-        return TruncatedSeries._trusted(self.spec, out)
+        return TruncatedSeries._trusted(self.spec, out, den)
 
     def __neg__(self) -> "TruncatedSeries":
-        return TruncatedSeries._trusted(self.spec, {e: -v for e, v in self.coeffs.items()})
+        return TruncatedSeries._trusted(
+            self.spec, {exp: -num for exp, num in self.nums.items()}, self.den)
 
     def __sub__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         return self + (-other)
@@ -269,36 +283,31 @@ class TruncatedSeries:
     def __mul__(self, other: "TruncatedSeries | RationalLike") -> "TruncatedSeries":
         """Product truncated to the common window.
 
-        The smaller operand is put over one integer denominator and grouped
-        by degree triple, the groups sorted by q degree.  Each term of the
-        larger operand scans the groups only up to its remaining q room and
-        skips groups beyond its t or Novikov room, so no out-of-window
-        product is ever formed.  Integer products accumulate over the
-        shared denominator and become reduced Fractions at the end.
+        The smaller operand's numerators are grouped by degree triple, the
+        groups sorted by q degree.  Each term of the larger operand scans the
+        groups only up to its remaining q room and skips groups beyond its t
+        or Novikov room, so no out-of-window product is ever formed.  Integer
+        products accumulate over the product of the two denominators.
         """
         if isinstance(other, (Fraction, int)):
             return self.scaled(other)
         self._require_same_spec(other)
         spec = self.spec
-        small, large = self.coeffs, other.coeffs
+        small, large = self.nums, other.nums
         if len(small) > len(large):
             small, large = large, small
         if not small:
-            return TruncatedSeries._trusted(spec, {})
-        den_small = lcm(*(v.denominator for v in small.values()))
-        den_large = lcm(*(v.denominator for v in large.values()))
+            return TruncatedSeries.zero(spec)
         groups: dict[tuple[int, int, int], list[tuple[Exponent, int]]] = {}
-        for exp, v in small.items():
-            groups.setdefault(spec.degrees(exp), []).append(
-                (exp, v.numerator * (den_small // v.denominator)))
+        for exp, num in small.items():
+            groups.setdefault(spec.degrees(exp), []).append((exp, num))
         by_q = sorted(groups.items(), key=lambda item: item[0][2])
         t_order, n_order, q_order = spec.t_order, spec.novikov_order, spec.q_order
         out: dict[Exponent, int] = {}
         get = out.get
-        for eb, vb in large.items():
+        for eb, cb in large.items():
             tb, nb, qb = spec.degrees(eb)
             t_room, n_room, q_room = t_order - tb, n_order - nb, q_order - qb
-            cb = vb.numerator * (den_large // vb.denominator)
             for (td, nd, qd), terms in by_q:
                 if qd > q_room:
                     break
@@ -309,19 +318,18 @@ class TruncatedSeries:
                     out[exp] = get(exp, 0) + ca * cb
         for exp in [e for e, v in out.items() if not v]:
             del out[exp]
-        den = den_small * den_large
-        for exp, v in out.items():
-            out[exp] = Fraction(v, den)
-        return TruncatedSeries._trusted(spec, out)
+        return TruncatedSeries._trusted(spec, out, self.den * other.den)
 
     def __rmul__(self, other: RationalLike) -> "TruncatedSeries":
         return self.scaled(other)
 
     def scaled(self, value: RationalLike) -> "TruncatedSeries":
-        f = _as_fraction(value)
-        if not f:
-            return TruncatedSeries._trusted(self.spec, {})
-        return TruncatedSeries._trusted(self.spec, {e: f * v for e, v in self.coeffs.items()})
+        if not _exact(value):
+            return TruncatedSeries.zero(self.spec)
+        num = value.numerator
+        return TruncatedSeries._trusted(
+            self.spec, {exp: num * v for exp, v in self.nums.items()},
+            value.denominator * self.den)
 
     def derivative(self, name: str) -> "TruncatedSeries":
         """Formal partial derivative.  The truncation order of the variable's
@@ -331,12 +339,12 @@ class TruncatedSeries:
         spec = self.spec.after_derivative(name)
         # Lowering one exponent by one is injective and keeps the group
         # degree within the lowered order, so no term collides or leaves.
-        out: dict[Exponent, Fraction] = {}
-        for exp, v in self.coeffs.items():
+        out: dict[Exponent, int] = {}
+        for exp, num in self.nums.items():
             k = exp[pos]
             if k:
-                out[exp[:pos] + (k - 1,) + exp[pos + 1 :]] = k * v
-        return TruncatedSeries._trusted(spec, out)
+                out[exp[:pos] + (k - 1,) + exp[pos + 1 :]] = k * num
+        return TruncatedSeries._trusted(spec, out, self.den)
 
     def over_one_minus_q(self) -> "TruncatedSeries":
         """Product with 1/(1-q), truncated to the window.
@@ -345,10 +353,10 @@ class TruncatedSeries:
         q^m coefficient of the product is the running sum of that row's
         q^0..q^m coefficients, so only in-window terms are ever formed.
         """
-        rows: dict[Exponent, dict[int, Fraction]] = {}
-        for exp, v in self.coeffs.items():
-            rows.setdefault(exp[:-1], {})[exp[-1]] = v
-        out: dict[Exponent, Fraction] = {}
+        rows: dict[Exponent, dict[int, int]] = {}
+        for exp, num in self.nums.items():
+            rows.setdefault(exp[:-1], {})[exp[-1]] = num
+        out: dict[Exponent, int] = {}
         top = self.spec.q_order
         for base, row in rows.items():
             total = 0
@@ -356,7 +364,7 @@ class TruncatedSeries:
                 total += row.get(m, 0)
                 if total:
                     out[base + (m,)] = total
-        return TruncatedSeries._trusted(self.spec, out)
+        return TruncatedSeries._trusted(self.spec, out, self.den)
 
     def truncated(self, t_order: int | None = None, novikov_order: int | None = None,
                   q_order: int | None = None) -> "TruncatedSeries":
@@ -364,14 +372,14 @@ class TruncatedSeries:
         spec = self.spec.truncated(t_order, novikov_order, q_order)
         admits = spec.admits
         return TruncatedSeries._trusted(
-            spec, {e: v for e, v in self.coeffs.items() if admits(e)})
+            spec, {exp: num for exp, num in self.nums.items() if admits(exp)}, self.den)
 
     # -- serialization -----------------------------------------------------
 
     def to_json_dict(self) -> dict:
         terms = [
-            {"exp": list(exp), "value": format_rational(self.coeffs[exp])}
-            for exp in sorted(self.coeffs)
+            {"exp": list(exp), "value": format_rational(value)}
+            for exp, value in sorted(self.coeffs.items())
         ]
         return {
             "vars": {
@@ -430,7 +438,7 @@ class TruncatedSeries:
 
 def try_rational_inverse(rows: Iterable[Iterable[RationalLike]]) -> list[list[Fraction]] | None:
     """Gauss-Jordan inverse of a rational matrix; None when singular."""
-    a = [[_as_fraction(x) for x in row] for row in rows]
+    a = [[Fraction(_exact(x)) for x in row] for row in rows]
     n = len(a)
     if any(len(row) != n for row in a):
         raise ValueError("matrix must be square")
@@ -552,16 +560,6 @@ class SeriesMatrix:
 
     def is_zero(self) -> bool:
         return all(entry.is_zero() for row in self.entries for entry in row)
-
-    def max_abs_coefficient(self) -> tuple[Fraction, tuple[int, int, Exponent] | None]:
-        best: Fraction = Fraction(0)
-        where: tuple[int, int, Exponent] | None = None
-        for i, row in enumerate(self.entries):
-            for j, entry in enumerate(row):
-                v, exp = entry.max_abs_coefficient()
-                if exp is not None and v > best:
-                    best, where = v, (i, j, exp)
-        return best, where
 
 
 def matrix_inverse_geometric(mat: SeriesMatrix) -> SeriesMatrix:

@@ -4,10 +4,11 @@ Each oracle reaches its value by a route the library does not use: closed
 forms, brute-force enumeration over all reduction orders, direct Euler
 characteristic expansion, order-by-order integration of the differential
 equation, a sympy re-implementation of the associativity residual, the
-all-pairs series product the library's window-aware kernel replaced, the
-truncated geometric series in q the library's running q-sum replaced, and
-Gauss-Jordan inversion over the series ring beside the library's geometric
-inverse.
+all-pairs series product the library's window-aware kernel replaced,
+coefficient-wise Fraction sums, derivatives and 1/(1-q) products beside the
+library's integer-numerator operations, the truncated geometric series in q
+the library's running q-sum replaced, and Gauss-Jordan inversion over the
+series ring beside the library's geometric inverse.
 """
 
 from __future__ import annotations
@@ -170,6 +171,35 @@ def naive_product(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
             if a.spec.admits(exp):
                 out[exp] = out.get(exp, Fraction(0)) + va * vb
     return TruncatedSeries(a.spec, out)
+
+
+def naive_sum(a: TruncatedSeries, b: TruncatedSeries) -> dict[tuple[int, ...], Fraction]:
+    """Coefficient-wise Fraction sum of two series, zeros dropped."""
+    assert a.spec == b.spec
+    out = dict(a.coeffs)
+    for exp, value in b.coeffs.items():
+        out[exp] = out.get(exp, Fraction(0)) + value
+    return {exp: value for exp, value in out.items() if value}
+
+
+def naive_derivative(a: TruncatedSeries, name: str) -> dict[tuple[int, ...], Fraction]:
+    """Term-by-term Fraction derivative: k x^k becomes k x^(k-1)."""
+    pos = a.spec.var_position(name)
+    return {
+        exp[:pos] + (exp[pos] - 1,) + exp[pos + 1 :]: exp[pos] * value
+        for exp, value in a.coeffs.items() if exp[pos]
+    }
+
+
+def naive_over_one_minus_q(a: TruncatedSeries) -> dict[tuple[int, ...], Fraction]:
+    """Each term c x^e q^d spread over q^d .. q^M with the same coefficient,
+    summed as Fractions, zeros dropped."""
+    out: dict[tuple[int, ...], Fraction] = {}
+    for exp, value in a.coeffs.items():
+        for m in range(exp[-1], a.spec.q_order + 1):
+            key = exp[:-1] + (m,)
+            out[key] = out.get(key, Fraction(0)) + value
+    return {exp: value for exp, value in out.items() if value}
 
 
 def geometric_q(spec: SeriesSpec) -> TruncatedSeries:

@@ -355,6 +355,34 @@ def test_projective_dimension_must_be_ascii_digits(target, capsys):
     assert err == f"error: projective target needs a dimension: {target!r}\n"
 
 
+NON_ASCII_RATIONALS = ["\u0661", "1\n", "1/\u0663", "\uff11/2", " 1", "+1"]
+
+
+@pytest.mark.parametrize("value", NON_ASCII_RATIONALS)
+@pytest.mark.parametrize("command", ["table-check", "frobenius-check"])
+def test_correlator_values_must_be_ascii_rationals(tmp_path, capsys, command, value):
+    doc = empty_point_table().to_json_dict()
+    doc["correlators"].append({"beta": [], "insertions": [0, 0, 0], "value": value})
+    path = tmp_path / "table.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli([command, "--input", str(path)], capsys)
+    assert code == 1
+    assert out == ""
+    assert err == f"error: rational values must look like p/q, got {value!r}\n"
+
+
+@pytest.mark.parametrize("value", NON_ASCII_RATIONALS)
+def test_custom_ring_values_must_be_ascii_rationals(tmp_path, capsys, value):
+    doc = projective_space_kring(1).to_json_dict()
+    doc["pairing"][0][0] = value
+    path = tmp_path / "ring.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(["kring", "info", "--target", f"custom:{path}"], capsys)
+    assert code == 1
+    assert out == ""
+    assert err == f"error: rational values must look like p/q, got {value!r}\n"
+
+
 def test_kring_info_requires_target(capsys):
     code, _, err = run_cli(["kring", "info"], capsys)
     assert code == 1

@@ -3,13 +3,14 @@
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
+from math import factorial, gcd
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qkzero import (
+    CorrelatorTable,
     IncompatibleSeries,
     SchemaError,
     SeriesMatrix,
@@ -17,13 +18,22 @@ from qkzero import (
     SingularMetric,
     TruncatedSeries,
     UnknownVariable,
+    assemble_fundamental_solution,
+    assemble_potential,
+    build_frobenius_data,
     matrix_inverse_geometric,
+    parse_rational,
+    point_kring,
+    qde_residual,
 )
 from oracles import (
     NotInvertible,
     geometric_q,
     matrix_inverse_direct,
+    naive_derivative,
+    naive_over_one_minus_q,
     naive_product,
+    naive_sum,
     reciprocal,
 )
 
@@ -337,6 +347,169 @@ def test_json_rejects_duplicate_exponent():
     doc["terms"].append({"exp": [0, 0], "value": "2/1"})
     with pytest.raises(SchemaError):
         TruncatedSeries.from_json_dict(doc)
+
+
+# -- parsing rationals ----------------------------------------------------------
+
+
+@pytest.mark.parametrize("text,value", [
+    ("7", Fraction(7)), ("-3/4", Fraction(-3, 4)), ("6/4", Fraction(3, 2)),
+    ("0/5", Fraction(0)), ("-0", Fraction(0)),
+])
+def test_parse_rational_accepts_ascii_integers_and_ratios(text, value):
+    assert parse_rational(text) == value
+
+
+@pytest.mark.parametrize("text", [
+    "\u0661", "1/\u0663", "\uff11", "1\n", "\n1", " 1", "1 ", "+1", "1/-2", "1/",
+    "/2", "0.5", "1e3", "1_0", "", 1, None,
+])
+def test_parse_rational_rejects_anything_else(text):
+    with pytest.raises(SchemaError, match="must look like p/q"):
+        parse_rational(text)
+
+
+def test_parse_rational_rejects_zero_denominator():
+    with pytest.raises(SchemaError, match="zero denominator"):
+        parse_rational("1/0")
+
+
+# -- integer numerators over one reduced denominator ---------------------------
+
+# Denominators that share no factor, so a shared denominator grows fastest,
+# next to small ones that cancel often.
+_MIXED_DENOMINATORS = [1, 2, 3, 6, 7, 2**40, 3**30, 2**40 * 3**30]
+_MIXED_COEFF = st.builds(Fraction, st.integers(-(2**45), 2**45),
+                         st.sampled_from(_MIXED_DENOMINATORS))
+MIXED_SPECS = KERNEL_SPECS + (LONG_Q_SPEC,)
+
+
+def _assert_canonical(x: TruncatedSeries) -> None:
+    assert type(x.den) is int and x.den > 0
+    assert all(type(num) is int and num for num in x.nums.values())
+    assert gcd(x.den, *x.nums.values()) == 1
+    assert x.nums or x.den == 1
+    assert all(type(exp) is tuple and x.spec.admits(exp) for exp in x.nums)
+
+
+@st.composite
+def _mixed_pair(draw):
+    """Two series on one layout with mixed denominators; the second often
+    repeats some terms of the first negated, so sums cancel to zero."""
+    spec = draw(st.sampled_from(MIXED_SPECS))
+    a = draw(_window_series(spec, (0, 8), _MIXED_COEFF))
+    cancel = draw(st.lists(st.sampled_from(sorted(a.nums)), unique=True)) if a.nums else []
+    extra = draw(_window_series(spec, (0, 4), _MIXED_COEFF)).coeffs
+    coeffs = a.coeffs
+    for exp in cancel:
+        extra[exp] = -coeffs[exp]
+    return a, TruncatedSeries(spec, extra)
+
+
+@given(_mixed_pair(), st.sampled_from([Fraction(0), Fraction(1), Fraction(-5, 3),
+                                       Fraction(3**30, 2**40), 12]))
+@settings(max_examples=120, deadline=None)
+def test_every_operation_returns_canonical_numerators_matching_fractions(pair, scale):
+    a, b = pair
+    spec = a.spec
+    _assert_canonical(a)
+    _assert_canonical(b)
+    cases = [
+        (a + b, naive_sum(a, b)),
+        (a - b, naive_sum(a, TruncatedSeries(spec, {exp: -v for exp, v in b.coeffs.items()}))),
+        (-a, {exp: -v for exp, v in a.coeffs.items()}),
+        (a.scaled(scale), {exp: scale * v for exp, v in a.coeffs.items() if scale}),
+        (a * b, naive_product(a, b).coeffs),
+        (a.derivative("t0"), naive_derivative(a, "t0")),
+        (a.derivative("q"), naive_derivative(a, "q")),
+        (a.over_one_minus_q(), naive_over_one_minus_q(a)),
+        (a.truncated(t_order=1, q_order=0),
+         {exp: v for exp, v in a.coeffs.items()
+          if spec.truncated(t_order=1, q_order=0).admits(exp)}),
+    ]
+    for result, expected in cases:
+        _assert_canonical(result)
+        assert result.coeffs == expected
+        assert all(type(v) is Fraction for v in result.coeffs.values())
+
+
+@given(_mixed_pair())
+@settings(max_examples=60, deadline=None)
+def test_sums_cancelling_to_zero_are_the_canonical_zero(pair):
+    a, b = pair
+    zero = a - a
+    assert zero.nums == {} and zero.den == 1
+    assert zero == TruncatedSeries.zero(a.spec)
+    assert (a + b) - b == a
+    assert ((a + b) - b).den == a.den
+
+
+@given(_mixed_pair())
+@settings(max_examples=60, deadline=None)
+def test_equal_values_reached_over_different_denominators_compare_equal(pair):
+    a, b = pair
+    routes = [
+        a,
+        a.scaled(Fraction(1, 3**30)).scaled(3**30),
+        a.scaled(2**40) * TruncatedSeries.constant(a.spec, Fraction(1, 2**40)),
+        (a + b) - b,
+        (a - b) + b,
+        TruncatedSeries(a.spec, a.coeffs),
+    ]
+    for other in routes:
+        assert other == a
+        assert (other.den, other.nums) == (a.den, a.nums)
+
+
+def test_constructor_puts_mixed_fractions_over_one_reduced_denominator():
+    spec = SeriesSpec(1, 0, 3, 0, 0)
+    x = TruncatedSeries(spec, {(0, 0): Fraction(1, 2**40), (1, 0): Fraction(2, 3**30),
+                               (2, 0): 5, (3, 0): Fraction(0)})
+    assert x.den == 2**40 * 3**30
+    assert x.nums == {(0, 0): 3**30, (1, 0): 2**41, (2, 0): 5 * 2**40 * 3**30}
+    assert x.coeffs == {(0, 0): Fraction(1, 2**40), (1, 0): Fraction(2, 3**30),
+                        (2, 0): Fraction(5)}
+    assert x.coefficient({"t0": 3}) == 0 and x.constant_term == Fraction(1, 2**40)
+    assert x.max_abs_coefficient() == (Fraction(5), (2, 0))
+    # halving every coefficient of 2/4 + 6/4 t leaves 1/4 + 3/4 t, den 4
+    y = TruncatedSeries(spec, {(0, 0): Fraction(2, 4), (1, 0): Fraction(6, 4)})
+    assert (y.den, y.nums) == (2, {(0, 0): 1, (1, 0): 3})
+    assert y.scaled(Fraction(1, 2)) == TruncatedSeries(
+        spec, {(0, 0): Fraction(1, 4), (1, 0): Fraction(3, 4)})
+    with pytest.raises(TypeError):
+        TruncatedSeries(spec, {(0, 0): 0.5})
+    with pytest.raises(TypeError):
+        y.scaled(0.5)
+
+
+def _count_fractions(monkeypatch, compute):
+    """Run compute() and count every Fraction constructed meanwhile."""
+    made = 0
+    original = Fraction.__new__
+
+    def counting(cls, *args, **kwargs):
+        nonlocal made
+        made += 1
+        return original(cls, *args, **kwargs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(Fraction, "__new__", counting)
+        result = compute()
+    return made, result
+
+
+def test_point_pipeline_builds_almost_no_fractions(monkeypatch):
+    """The metric inverse, its certificate and the QDE residual on the
+    point at 60/60 run on integer numerators: no Fraction per term."""
+    ring = point_kring()
+    table = CorrelatorTable.empty(ring, 0, {"type": "point"})
+    potential = assemble_potential(ring, table, 63, 0, q_order=60)
+    solution = assemble_fundamental_solution(ring, table, 60, 0, 60)
+    made, fd = _count_fractions(monkeypatch, lambda: build_frobenius_data(potential))
+    assert made < 50
+    made, residuals = _count_fractions(monkeypatch, lambda: qde_residual(solution, fd))
+    assert made < 50
+    assert [r.is_zero for r in residuals] == [True]
 
 
 # -- inverse route equivalence ------------------------------------------------
