@@ -103,6 +103,8 @@ def beta_zero_correlator(ring: KRingPresentation, insertions: Iterable[int]) -> 
 
 @dataclass(frozen=True)
 class CorrelatorTable:
+    """Correlator values keyed by degree and sorted insertion multiset."""
+
     ring: KRingPresentation
     degree_rank: int
     target_doc: dict
@@ -116,10 +118,6 @@ class CorrelatorTable:
 
     def value(self, beta: DegreeVector, insertions: tuple[int, ...]) -> Fraction | None:
         return self.entries.get((beta, tuple(sorted(insertions))))
-
-    def descendent_value(self, beta: DegreeVector, insertions: tuple[int, ...],
-                         marked: tuple[int, int]) -> Fraction | None:
-        return self.descendent_entries.get((beta, tuple(sorted(insertions)), marked))
 
     def with_entry(self, beta: DegreeVector, insertions: tuple[int, ...],
                    value: Fraction) -> "CorrelatorTable":

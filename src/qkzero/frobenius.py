@@ -201,8 +201,8 @@ def _sum_series(spec: SeriesSpec, items) -> TruncatedSeries:
 def build_frobenius_data(potential: Potential) -> FrobeniusData:
     """Full pipeline from a potential.
 
-    The inverse metric is the geometric series in g^{-1} times the
-    positive-degree part, certified by the exact product G * G^{-1} = I.
+    The inverse metric comes from Newton's iteration on windows of doubling
+    degree, certified by the exact product G * G^{-1} = I on the full window.
     Monomials outside the window form an ideal, so truncated series form a
     commutative ring, where a one-sided inverse of a square matrix is
     two-sided: the check is a proof, given correct multiplication.

@@ -142,7 +142,7 @@ class KClass:
     coords: tuple[Fraction, ...]
 
     def __post_init__(self) -> None:
-        coords = tuple(Fraction(x) for x in self.coords)
+        coords = tuple(x if type(x) is Fraction else Fraction(x) for x in self.coords)
         if len(coords) != self.ring.rank:
             raise ValueError("coordinate vector has wrong length")
         object.__setattr__(self, "coords", coords)

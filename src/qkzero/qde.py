@@ -25,10 +25,9 @@ q^0..q^m coefficients.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from itertools import combinations_with_replacement
-from math import comb, factorial
+from math import comb, factorial, lcm, prod
 
 from .correlators import CorrelatorTable, degree_zero_chi, effective_degrees
 from .errors import IncompleteTable, RingMismatch, TruncationMismatch
@@ -70,26 +69,21 @@ def assemble_fundamental_solution(ring: KRingPresentation, table: CorrelatorTabl
     keys.  Degree zero needs at least one plain insertion next to the two
     distinguished slots (three points keep the moduli space alive).  At
     positive degree every key from zero insertions up to the t order must be
-    supplied; the first missing one aborts with the key attached.
+    supplied; the first missing one aborts with the key attached.  Terms are
+    integer numerators over their value's denominator times prod m_i!, and
+    each entry of S takes their lcm once: no Fraction is built per term.
     """
     if table.ring != ring:
         raise RingMismatch("table was built for a different ring presentation")
     rank = ring.rank
     spec = SeriesSpec(rank, table.degree_rank, t_order, novikov_order, q_order)
-    cells: list[list[dict[tuple[int, ...], Fraction]]] = [
-        [dict() for _ in range(rank)] for _ in range(rank)
-    ]
-    zero_exp = (0,) * spec.nvars
-    for i in range(rank):
-        for j in range(rank):
-            if ring.pairing[i][j] != 0:
-                cells[i][j][zero_exp] = Fraction(ring.pairing[i][j])
-
+    cells = [[{g.denominator: {(0,) * spec.nvars: g.numerator}} if g else {} for g in row]
+             for row in ring.pairing]
     chi = degree_zero_chi(ring)
+    entries = table.descendent_entries
     for beta in effective_degrees(table.degree_rank, novikov_order):
         degree_zero = all(b == 0 for b in beta)
-        n_min = 1 if degree_zero else 0
-        for n in range(n_min, t_order + 1):
+        for n in range(1 if degree_zero else 0, t_order + 1):
             if degree_zero:
                 # E(n+2; 0,...,0,d) = binom(n-1+d, d) (Lee, IMRN 1997)
                 euler = [comb(n - 1 + d, d) for d in range(q_order + 1)]
@@ -97,33 +91,37 @@ def assemble_fundamental_solution(ring: KRingPresentation, table: CorrelatorTabl
                 counts = [0] * rank
                 for idx in kappa:
                     counts[idx] += 1
-                weight = Fraction(1)
-                for m in counts:
-                    weight /= factorial(m)
+                weight = prod(map(factorial, counts))
                 # Within one cell the exponent (counts, beta, d) is unique.
                 base = tuple(counts) + beta
                 for i in range(rank):
                     insertions = tuple(sorted((i,) + kappa))
                     for j in range(rank):
                         cell = cells[i][j]
-                        chi_weight = None
+                        chi_value = None
                         for d in range(q_order + 1):
-                            value = table.descendent_value(beta, insertions, (j, d))
-                            if value is not None:
-                                value *= weight
-                            elif not degree_zero:
-                                raise IncompleteTable(beta, insertions, (j, d))
-                            else:
-                                if chi_weight is None:
-                                    chi_weight = chi(insertions + (j,)) * weight
-                                value = chi_weight * euler[d]
+                            value, scale = entries.get((beta, insertions, (j, d))), 1
+                            if value is None:
+                                if not degree_zero:
+                                    raise IncompleteTable(beta, insertions, (j, d))
+                                if chi_value is None:
+                                    chi_value = chi(insertions + (j,))
+                                value, scale = chi_value, euler[d]
                             if value:
-                                cell[base + (d,)] = value
-    entries = tuple(
-        tuple(TruncatedSeries(spec, cells[i][j]) for j in range(rank))
-        for i in range(rank)
-    )
-    return QDESolution(ring, table.degree_rank, SeriesMatrix(entries))
+                                terms = cell.setdefault(value.denominator * weight, {})
+                                terms[base + (d,)] = value.numerator * scale
+    rows = tuple(tuple(_over_lcm(spec, cell) for cell in row) for row in cells)
+    return QDESolution(ring, table.degree_rank, SeriesMatrix(rows))
+
+
+def _over_lcm(spec: SeriesSpec, groups: dict[int, dict[tuple[int, ...], int]]
+              ) -> TruncatedSeries:
+    den = lcm(*groups)
+    nums: dict[tuple[int, ...], int] = {}
+    for group_den, terms in groups.items():
+        scale = den // group_den
+        nums.update((exp, num * scale) for exp, num in terms.items())
+    return TruncatedSeries.from_numerators(spec, nums, den)
 
 
 def _aligned_window(solution: QDESolution, fd: FrobeniusData) -> int:

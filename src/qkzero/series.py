@@ -176,13 +176,17 @@ class TruncatedSeries:
             if _exact(value):
                 terms[exp] = value
         den = lcm(*(v.denominator for v in terms.values()))
-        return cls._trusted(spec, {exp: v.numerator * (den // v.denominator)
-                                   for exp, v in terms.items()}, den)
+        return cls.from_numerators(spec, {exp: v.numerator * (den // v.denominator)
+                                          for exp, v in terms.items()}, den)
 
     @classmethod
-    def _trusted(cls, spec: SeriesSpec, nums: dict[Exponent, int], den: int) -> "TruncatedSeries":
-        """Reduce nonzero in-window numerators over a positive denominator to
-        lowest terms and wrap them; only this class may skip the checks."""
+    def from_numerators(cls, spec: SeriesSpec, nums: dict[Exponent, int],
+                        den: int) -> "TruncatedSeries":
+        """Reduce numerators over den to lowest terms and wrap them.  Only the
+        denominator is checked: the caller vouches for nonzero int numerators
+        at in-window exponents."""
+        if type(den) is not int or den <= 0:
+            raise ValueError("the denominator must be a positive int")
         g = gcd(den, *nums.values())
         if g != 1:
             nums = {exp: num // g for exp, num in nums.items()}
@@ -197,7 +201,7 @@ class TruncatedSeries:
 
     @classmethod
     def zero(cls, spec: SeriesSpec) -> "TruncatedSeries":
-        return cls._trusted(spec, {}, 1)
+        return cls.from_numerators(spec, {}, 1)
 
     @classmethod
     def constant(cls, spec: SeriesSpec, value: RationalLike) -> "TruncatedSeries":
@@ -271,10 +275,10 @@ class TruncatedSeries:
                 out[exp] = total
             else:
                 del out[exp]
-        return TruncatedSeries._trusted(self.spec, out, den)
+        return TruncatedSeries.from_numerators(self.spec, out, den)
 
     def __neg__(self) -> "TruncatedSeries":
-        return TruncatedSeries._trusted(
+        return TruncatedSeries.from_numerators(
             self.spec, {exp: -num for exp, num in self.nums.items()}, self.den)
 
     def __sub__(self, other: "TruncatedSeries") -> "TruncatedSeries":
@@ -318,7 +322,7 @@ class TruncatedSeries:
                     out[exp] = get(exp, 0) + ca * cb
         for exp in [e for e, v in out.items() if not v]:
             del out[exp]
-        return TruncatedSeries._trusted(spec, out, self.den * other.den)
+        return TruncatedSeries.from_numerators(spec, out, self.den * other.den)
 
     def __rmul__(self, other: RationalLike) -> "TruncatedSeries":
         return self.scaled(other)
@@ -327,7 +331,7 @@ class TruncatedSeries:
         if not _exact(value):
             return TruncatedSeries.zero(self.spec)
         num = value.numerator
-        return TruncatedSeries._trusted(
+        return TruncatedSeries.from_numerators(
             self.spec, {exp: num * v for exp, v in self.nums.items()},
             value.denominator * self.den)
 
@@ -344,7 +348,7 @@ class TruncatedSeries:
             k = exp[pos]
             if k:
                 out[exp[:pos] + (k - 1,) + exp[pos + 1 :]] = k * num
-        return TruncatedSeries._trusted(spec, out, self.den)
+        return TruncatedSeries.from_numerators(spec, out, self.den)
 
     def over_one_minus_q(self) -> "TruncatedSeries":
         """Product with 1/(1-q), truncated to the window.
@@ -364,14 +368,16 @@ class TruncatedSeries:
                 total += row.get(m, 0)
                 if total:
                     out[base + (m,)] = total
-        return TruncatedSeries._trusted(self.spec, out, self.den)
+        return TruncatedSeries.from_numerators(self.spec, out, self.den)
 
     def truncated(self, t_order: int | None = None, novikov_order: int | None = None,
                   q_order: int | None = None) -> "TruncatedSeries":
         # Lowering orders only drops terms; every kept term is already valid.
         spec = self.spec.truncated(t_order, novikov_order, q_order)
+        if spec == self.spec:
+            return self
         admits = spec.admits
-        return TruncatedSeries._trusted(
+        return TruncatedSeries.from_numerators(
             spec, {exp: num for exp, num in self.nums.items() if admits(exp)}, self.den)
 
     # -- serialization -----------------------------------------------------
@@ -505,26 +511,15 @@ class SeriesMatrix:
         ))
 
     def __sub__(self, other: "SeriesMatrix") -> "SeriesMatrix":
-        self._check(other)
-        return SeriesMatrix(tuple(
-            tuple(a - b for a, b in zip(ra, rb))
-            for ra, rb in zip(self.entries, other.entries)
-        ))
+        return self + SeriesMatrix(tuple(tuple(-e for e in row) for row in other.entries))
 
     def __mul__(self, other: "SeriesMatrix") -> "SeriesMatrix":
         self._check(other)
-        n = self.dimension
-        zero = TruncatedSeries.zero(self.spec)
-        rows = []
-        for i in range(n):
-            row = []
-            for j in range(n):
-                acc = zero
-                for k in range(n):
-                    acc = acc + self.entries[i][k] * other.entries[k][j]
-                row.append(acc)
-            rows.append(tuple(row))
-        return SeriesMatrix(tuple(rows))
+        zero, columns = TruncatedSeries.zero(self.spec), tuple(zip(*other.entries))
+        return SeriesMatrix(tuple(
+            tuple(sum((a * b for a, b in zip(row, col)), zero) for col in columns)
+            for row in self.entries
+        ))
 
     def _check(self, other: "SeriesMatrix") -> None:
         if self.dimension != other.dimension:
@@ -538,10 +533,7 @@ class SeriesMatrix:
         ))
 
     def transpose(self) -> "SeriesMatrix":
-        n = self.dimension
-        return SeriesMatrix(tuple(
-            tuple(self.entries[j][i] for j in range(n)) for i in range(n)
-        ))
+        return SeriesMatrix(tuple(zip(*self.entries)))
 
     def derivative(self, name: str) -> "SeriesMatrix":
         return SeriesMatrix(tuple(
@@ -563,28 +555,31 @@ class SeriesMatrix:
 
 
 def matrix_inverse_geometric(mat: SeriesMatrix) -> SeriesMatrix:
-    """Invert G = g + F (g the constant term, F without constant term) by the
-    geometric series sum of M^k g^-1 over k >= 0, with M = -g^-1 F.
+    """Invert G by Newton's iteration X <- X + X (I - G X) from X = g^-1,
+    g the constant term; each round squares the error I - G X.
 
-    The series is summed by squaring: with P = M^(2^i) and acc the sum over
-    k < 2^i, acc + P acc is the sum over k < 2^(i+1).  M has no constant
-    term, so M^k vanishes once k exceeds the truncation budget, and the
-    loop stops after at most bit_length(budget) + 1 rounds of two matrix
-    products each.  Raises SingularMetric when the constant term g is not
-    invertible.
+    Round i runs with every group order capped at 2^i - 1.  Terms the last
+    window lacked have total degree >= 2^(i-1), where the error starts, so
+    lifting X keeps it there and the round doubles it.  Capped windows admit
+    higher total degrees, so the loop stops at the full window only once
+    I - G X is zero, or after the round where 2^i exceeds the budget: at
+    most bit_length(budget) rounds of two products.  Raises SingularMetric
+    when g is singular.
     """
-    g = mat.constant_matrix()
-    g_inv = try_rational_inverse(g)
+    g_inv = try_rational_inverse(mat.constant_matrix())
     if g_inv is None:
         raise SingularMetric("constant term of the matrix is singular")
-    spec = mat.spec
-    g_inv_m = SeriesMatrix.from_rational_matrix(spec, g_inv)
-    f = mat - SeriesMatrix.from_rational_matrix(spec, g)
-    power = (g_inv_m * f).scaled(-1)
-    acc = g_inv_m
-    for _ in range(spec.budget().bit_length() + 1):
-        if power.is_zero():
+    spec, size = mat.spec, 1
+    x = SeriesMatrix.from_rational_matrix(spec, g_inv)
+    while size <= spec.budget():
+        size *= 2
+        g = mat.truncated(*(min(order, size - 1) for order in
+                            (spec.t_order, spec.novikov_order, spec.q_order)))
+        # Every term of X lies in the new window, so it carries over as is.
+        x = SeriesMatrix(tuple(tuple(TruncatedSeries.from_numerators(g.spec, e.nums, e.den)
+                                     for e in row) for row in x.entries))
+        error = SeriesMatrix.identity(g.spec, mat.dimension) - g * x
+        if g.spec == spec and error.is_zero():
             break
-        acc = acc + power * acc
-        power = power * power
-    return acc
+        x = x + x * error
+    return x

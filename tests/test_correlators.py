@@ -95,7 +95,7 @@ def test_load_and_round_trip():
     table = load_correlators(doc)
     assert table.ring == P1
     assert table.value((1,), (1, 1)) == 1
-    assert table.descendent_value((1,), (1,), (0, 2)) == Fraction(3, 2)
+    assert table.descendent_entries[((1,), (1,), (0, 2))] == Fraction(3, 2)
     again = load_correlators(json.loads(json.dumps(table.to_json_dict())))
     assert again.entries == table.entries
     assert again.descendent_entries == table.descendent_entries

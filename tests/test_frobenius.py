@@ -158,10 +158,11 @@ def test_product_tensor_matches_pipeline():
     assert a_matrices == fd.a_matrices
 
 
-def test_geometric_inverse_sums_by_squaring(monkeypatch):
+def test_geometric_inverse_doubles_precision_per_round(monkeypatch):
     # The point metric of a qde-check at t and q order 60: 121 is its
     # truncation budget.  Summing the geometric series one power of M at a
-    # time would take 63 matrix products; squaring takes two per doubling.
+    # time would take 63 matrix products; each Newton round doubles the
+    # certified total degree for two.
     potential = assemble_potential(POINT, empty_table(POINT), 63, 0, q_order=60)
     gm = quantized_metric(potential)
     budget = gm.spec.budget()

@@ -24,6 +24,7 @@ from qkzero import (
     matrix_inverse_geometric,
     parse_rational,
     point_kring,
+    projective_space_kring,
     qde_residual,
 )
 from oracles import (
@@ -512,6 +513,49 @@ def test_point_pipeline_builds_almost_no_fractions(monkeypatch):
     assert [r.is_zero for r in residuals] == [True]
 
 
+def test_fundamental_solution_builds_no_fraction_per_term(monkeypatch):
+    """S on the point is put together from integer numerators: its few
+    Fractions come from chi, as many at q order 30 as at 60."""
+    ring = point_kring()
+    table = CorrelatorTable.empty(ring, 0, {"type": "point"})
+    made, _ = _count_fractions(
+        monkeypatch, lambda: assemble_fundamental_solution(ring, table, 60, 0, 60))
+    made_half_q, _ = _count_fractions(
+        monkeypatch, lambda: assemble_fundamental_solution(ring, table, 60, 0, 30))
+    assert made < 1000
+    assert made == made_half_q
+
+
+def test_potential_classes_keep_their_fraction_coordinates(monkeypatch):
+    """A KClass converts only coordinates that are not Fractions yet, so
+    the degree-zero products behind the P^4 potential at t order 8 build
+    under half the 22,832 Fractions a copy of every coordinate took."""
+    ring = projective_space_kring(4)
+    table = CorrelatorTable.empty(ring, 0, {"type": "projective", "n": 4})
+    made, potential = _count_fractions(
+        monkeypatch, lambda: assemble_potential(ring, table, 8, 0))
+    assert made < 11_000
+    assert len(potential.series.nums) == 80
+
+
+def test_from_numerators_reduces_and_checks_the_denominator():
+    spec = SeriesSpec(1, 0, 3, 0, 0)
+    x = TruncatedSeries.from_numerators(spec, {(0, 0): 6, (2, 0): -4}, 8)
+    assert (x.den, x.nums) == (4, {(0, 0): 3, (2, 0): -2})
+    assert x == TruncatedSeries(spec, {(0, 0): Fraction(3, 4), (2, 0): Fraction(-1, 2)})
+    for den in (0, -8, 8.0, Fraction(8), True):
+        with pytest.raises(ValueError):
+            TruncatedSeries.from_numerators(spec, {(0, 0): 6}, den)
+
+
+def test_truncating_to_the_same_orders_returns_the_series_itself():
+    a = exp_series(SPEC1, 4)
+    assert a.truncated() is a
+    assert a.truncated(t_order=4, novikov_order=0, q_order=0) is a
+    lower = a.truncated(t_order=2)
+    assert lower is not a and lower == exp_series(SPEC1.truncated(t_order=2), 2)
+
+
 # -- inverse route equivalence ------------------------------------------------
 
 def _random_metric(rng, dim: int, spec: SeriesSpec) -> SeriesMatrix:
@@ -557,3 +601,26 @@ def test_inverse_routes_agree_on_random_metrics():
         direct = matrix_inverse_direct(mat)
         assert geo == direct
         assert mat * geo == SeriesMatrix.identity(spec, dim)
+
+
+@pytest.mark.parametrize("spec", [
+    # every cap reaches t 3, Q 1 after two rounds, but t^3 Q has degree 4
+    SeriesSpec(num_t=2, num_novikov=1, t_order=3, novikov_order=1, q_order=0),
+    # q-dependent metrics whose q order exceeds the t order: t^2 q^3 and
+    # t Q q^2 lie beyond the total degree two rounds certify
+    SeriesSpec(num_t=2, num_novikov=0, t_order=2, novikov_order=0, q_order=3),
+    SeriesSpec(num_t=1, num_novikov=1, t_order=1, novikov_order=1, q_order=2),
+])
+def test_newton_inverse_runs_past_the_full_window(spec):
+    """Newton's caps bound each group's degree, not the total degree, so
+    the inverse is exact only once the error vanishes on the full window."""
+    import random
+
+    rng = random.Random(20261018)
+    for trial in range(40):
+        dim = 1 + trial % 3
+        mat = _random_metric(rng, dim, spec)
+        inv = matrix_inverse_geometric(mat)
+        assert inv.spec == spec
+        assert inv == matrix_inverse_direct(mat)
+        assert mat * inv == SeriesMatrix.identity(spec, dim)
