@@ -44,9 +44,9 @@ def run_dimension(nproj: int, t_order: int) -> bool:
     potential = assemble_potential(ring, table, t_order, 0)
     fd = build_frobenius_data(potential)
 
-    spec3 = fd.product[0][0][0].spec
+    spec3 = fd.product[0].spec
     classical = all(
-        fd.product[i][j][k] == TruncatedSeries.constant(spec3, ring.mult[i][j][k])
+        fd.product[i].entries[j][k] == TruncatedSeries.constant(spec3, ring.mult[i][j][k])
         for i in range(ring.rank)
         for j in range(ring.rank)
         for k in range(ring.rank))

@@ -36,7 +36,6 @@ from .frobenius import (
     build_frobenius_data,
     classical_limit_residual,
     flatness_residuals,
-    product_tensor,
     quantized_metric,
     unit_residual,
     wdvv_residual,

@@ -38,12 +38,7 @@ from .series import (
 @dataclass(frozen=True)
 class Potential:
     ring: KRingPresentation
-    degree_rank: int
     series: TruncatedSeries
-
-    @property
-    def t_order(self) -> int:
-        return self.series.spec.t_order
 
 
 @dataclass(frozen=True)
@@ -121,7 +116,7 @@ def assemble_potential(ring: KRingPresentation, table: CorrelatorTable,
                     weight /= factorial(m)
                 bump(tuple(counts), beta, value * weight)
 
-    return Potential(ring, table.degree_rank, TruncatedSeries(spec, acc))
+    return Potential(ring, TruncatedSeries(spec, acc))
 
 
 def quantized_metric(potential: Potential) -> SeriesMatrix:
@@ -136,70 +131,22 @@ def quantized_metric(potential: Potential) -> SeriesMatrix:
 
 @dataclass(frozen=True)
 class FrobeniusData:
-    """Metric, inverse metric, third derivatives, structure constants, and the
-    multiplication-operator matrices assembled from one potential."""
+    """Metric, inverse metric, and per basis class e_k the matrices
+    third[k] = dG/dt_k (entries G_{ijk}, symmetric in all three indices) and
+    product[k] = third[k] * G^{-1}, whose row j holds c_{kj}^l, the
+    coordinates of e_k * e_j; its transpose is the matrix of multiplication
+    by e_k.  Both are certified to t-order T-3."""
 
     ring: KRingPresentation
-    degree_rank: int
-    t_order: int
     gmetric: SeriesMatrix
     ginv: SeriesMatrix
-    third: tuple[tuple[tuple[TruncatedSeries, ...], ...], ...]
-    product: tuple[tuple[tuple[TruncatedSeries, ...], ...], ...]
-    a_matrices: tuple[SeriesMatrix, ...]
-
-
-def _third_derivatives(gmetric: SeriesMatrix
-                       ) -> tuple[tuple[tuple[TruncatedSeries, ...], ...], ...]:
-    rank = gmetric.dimension
-    return tuple(
-        tuple(
-            tuple(gmetric.entries[i][j].derivative(f"t{k}") for k in range(rank))
-            for j in range(rank)
-        )
-        for i in range(rank)
-    )
-
-
-def product_tensor(third: tuple[tuple[tuple[TruncatedSeries, ...], ...], ...],
-                   ginv: SeriesMatrix
-                   ) -> tuple[tuple[tuple[tuple[TruncatedSeries, ...], ...], ...],
-                              tuple[SeriesMatrix, ...]]:
-    """Structure constants c_{ij}^k = sum_mu G_{ij mu} (G^{-1})^{mu k} and the
-    matrices A_k of multiplication by e_k, both certified to t-order T-3."""
-    rank = len(third)
-    spec3 = third[0][0][0].spec
-    ginv3 = ginv.truncated(t_order=spec3.t_order)
-    c = tuple(
-        tuple(
-            tuple(
-                _sum_series(spec3, (third[i][j][mu] * ginv3.entries[mu][k]
-                                    for mu in range(rank)))
-                for k in range(rank)
-            )
-            for j in range(rank)
-        )
-        for i in range(rank)
-    )
-    a_matrices = tuple(
-        SeriesMatrix(tuple(
-            tuple(c[k][m][l] for m in range(rank))
-            for l in range(rank)
-        ))
-        for k in range(rank)
-    )
-    return c, a_matrices
-
-
-def _sum_series(spec: SeriesSpec, items) -> TruncatedSeries:
-    acc = TruncatedSeries.zero(spec)
-    for item in items:
-        acc = acc + item
-    return acc
+    third: tuple[SeriesMatrix, ...]
+    product: tuple[SeriesMatrix, ...]
 
 
 def build_frobenius_data(potential: Potential) -> FrobeniusData:
-    """Full pipeline from a potential.
+    """Full pipeline from a potential: G, G^{-1}, dG/dt_k and the product
+    matrices third[k] * G^{-1}, one per basis class.
 
     The inverse metric comes from Newton's iteration on windows of doubling
     degree, certified by the exact product G * G^{-1} = I on the full window.
@@ -213,17 +160,14 @@ def build_frobenius_data(potential: Potential) -> FrobeniusData:
         raise ArithmeticError(
             "G * G^-1 is not the identity; the inverse or the series "
             "arithmetic is wrong")
-    third = _third_derivatives(gmetric)
-    c, a_matrices = product_tensor(third, ginv)
+    third = tuple(gmetric.derivative(f"t{k}") for k in range(gmetric.dimension))
+    ginv3 = ginv.truncated(t_order=third[0].spec.t_order)
     return FrobeniusData(
         ring=potential.ring,
-        degree_rank=potential.degree_rank,
-        t_order=potential.t_order,
         gmetric=gmetric,
         ginv=ginv,
         third=third,
-        product=c,
-        a_matrices=a_matrices,
+        product=tuple(g3 * ginv3 for g3 in third),
     )
 
 
@@ -258,27 +202,28 @@ def wdvv_residual(fd: FrobeniusData) -> ResidualSummary:
     must vanish identically.  Certified to t-order T-3.
     """
     rank = fd.ring.rank
-    spec3 = fd.product[0][0][0].spec
+    spec3 = fd.product[0].spec
+    zero = TruncatedSeries.zero(spec3)
     pieces: list[tuple[dict, TruncatedSeries]] = []
     for i in range(rank):
+        c = fd.product[i].entries
         for j in range(rank):
             for k in range(j + 1, rank):
                 for l in range(rank):
-                    lhs = _sum_series(spec3, (fd.product[i][j][nu] * fd.third[nu][k][l]
-                                              for nu in range(rank)))
-                    rhs = _sum_series(spec3, (fd.product[i][k][nu] * fd.third[nu][j][l]
-                                              for nu in range(rank)))
+                    g = fd.third[l].entries
+                    lhs = sum((c[j][nu] * g[nu][k] for nu in range(rank)), zero)
+                    rhs = sum((c[k][nu] * g[nu][j] for nu in range(rank)), zero)
                     pieces.append(({"indices": [i, j, k, l]}, lhs - rhs))
     return residual_summary(pieces, window_dict(spec3))
 
 
 def unit_residual(fd: FrobeniusData) -> ResidualSummary:
     """Multiplication by e_0 must be the identity at every order."""
-    spec3 = fd.product[0][0][0].spec
+    spec3 = fd.product[0].spec
     rank = fd.ring.rank
-    identity = SeriesMatrix.identity(spec3, rank)
-    diff = fd.a_matrices[0] - identity
-    pieces = [({"entry": [i, j]}, diff.entries[i][j])
+    diff = fd.product[0] - SeriesMatrix.identity(spec3, rank)
+    # The matrix of e_0 * is the transpose of product[0].
+    pieces = [({"entry": [i, j]}, diff.entries[j][i])
               for i in range(rank) for j in range(rank)]
     return residual_summary(pieces, window_dict(spec3))
 
@@ -287,15 +232,15 @@ def classical_limit_residual(fd: FrobeniusData) -> ResidualSummary:
     """At Novikov degree zero the product must reduce to the classical
     structure constants at every t-order."""
     rank = fd.ring.rank
-    spec3 = fd.product[0][0][0].spec
+    spec3 = fd.product[0].spec
     # Lowering the Novikov order to zero keeps exactly the degree-zero terms.
     spec0 = spec3.truncated(novikov_order=0)
     pieces: list[tuple[dict, TruncatedSeries]] = []
     for i in range(rank):
+        c = fd.product[i].truncated(novikov_order=0).entries
         for j in range(rank):
             for k in range(rank):
-                diff = (fd.product[i][j][k].truncated(novikov_order=0)
-                        - TruncatedSeries.constant(spec0, fd.ring.mult[i][j][k]))
+                diff = c[j][k] - TruncatedSeries.constant(spec0, fd.ring.mult[i][j][k])
                 pieces.append(({"indices": [i, j, k]}, diff))
     return residual_summary(pieces, window_dict(spec3))
 
@@ -320,19 +265,22 @@ class FlatnessReport:
 
 
 def flatness_residuals(fd: FrobeniusData) -> FlatnessReport:
+    """R1, R2 and the metric curvature of A_k = product[k]^T, and the
+    Levi-Civita family dG/dt_k - sym(product[k] * G).  The last vanishes on
+    all build_frobenius_data output, whatever the table: the certificate
+    makes product[k] * G equal dG/dt_k, which is symmetric."""
     rank = fd.ring.rank
-    spec3 = fd.product[0][0][0].spec
+    spec3 = fd.product[0].spec
+    spec4 = spec3.truncated(t_order=spec3.t_order - 1)
+    act = [p.transpose() for p in fd.product]
 
     r1_pieces: list[tuple[dict, TruncatedSeries]] = []
     r2_pieces: list[tuple[dict, TruncatedSeries]] = []
     metric_pieces: list[tuple[dict, TruncatedSeries]] = []
-    spec4 = None
     for i in range(rank):
         for j in range(i + 1, rank):
-            r1 = (fd.a_matrices[j].derivative(f"t{i}")
-                  - fd.a_matrices[i].derivative(f"t{j}"))
-            r2 = fd.a_matrices[i] * fd.a_matrices[j] - fd.a_matrices[j] * fd.a_matrices[i]
-            spec4 = r1.spec
+            r1 = act[j].derivative(f"t{i}") - act[i].derivative(f"t{j}")
+            r2 = act[i] * act[j] - act[j] * act[i]
             # Curvature at the metric specialization z = 1/2: -z R1 + z^2 R2.
             metric = (r1.scaled(Fraction(-1, 2))
                       + r2.truncated(t_order=spec4.t_order).scaled(Fraction(1, 4)))
@@ -349,17 +297,13 @@ def flatness_residuals(fd: FrobeniusData) -> FlatnessReport:
     g3 = fd.gmetric.truncated(t_order=spec3.t_order)
     half = Fraction(1, 2)
     for k in range(rank):
+        lowered = (fd.product[k] * g3).entries
         for i in range(rank):
             for j in range(rank):
-                lhs = fd.third[i][j][k]
-                rhs = _sum_series(spec3, (
-                    (fd.product[k][i][mu] * g3.entries[mu][j]
-                     + fd.product[k][j][mu] * g3.entries[i][mu]).scaled(half)
-                    for mu in range(rank)))
-                lc_pieces.append(({"indices": [k, i, j]}, lhs - rhs))
+                rhs = (lowered[i][j] + lowered[j][i]).scaled(half)
+                lc_pieces.append(({"indices": [k, i, j]},
+                                  fd.third[k].entries[i][j] - rhs))
 
-    if spec4 is None:  # rank-one rings have no antisymmetric pairs
-        spec4 = spec3.truncated(t_order=spec3.t_order - 1)
     return FlatnessReport(
         r1=residual_summary(r1_pieces, window_dict(spec4)),
         r2=residual_summary(r2_pieces, window_dict(spec3)),

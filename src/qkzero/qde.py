@@ -12,10 +12,11 @@ It must satisfy, column by column, the connection equation
 
 together with the generalized associativity identity
 (e_j *) dS/dt_k = (e_k *) dS/dt_j.  The first index of S is covariant
-(it is paired, not raised), while the stored product matrices give the
-action of (e_k *) on coordinates.  Conjugating by the metric turns one
-into the other, and self-adjointness of the product collapses the
-conjugation to a plain transpose, which is what the residuals use.
+(it is paired, not raised), while (e_k *) acts on coordinates through
+the transpose of the stored matrix product[k].  Conjugating by the metric
+turns one into the other, and self-adjointness of the product collapses
+the conjugation to a plain transpose, so the residuals apply product[k]
+itself.
 Both identities are checked exactly on the largest window the two
 truncations certify jointly; the q window never shrinks because 1/(1-q)
 acts as a running sum in q, whose q^m coefficient reads only the known
@@ -44,7 +45,6 @@ from .series import (
 @dataclass(frozen=True)
 class QDESolution:
     ring: KRingPresentation
-    degree_rank: int
     matrix: SeriesMatrix
 
     @property
@@ -111,7 +111,7 @@ def assemble_fundamental_solution(ring: KRingPresentation, table: CorrelatorTabl
                                 terms = cell.setdefault(value.denominator * weight, {})
                                 terms[base + (d,)] = value.numerator * scale
     rows = tuple(tuple(_over_lcm(spec, cell) for cell in row) for row in cells)
-    return QDESolution(ring, table.degree_rank, SeriesMatrix(rows))
+    return QDESolution(ring, SeriesMatrix(rows))
 
 
 def _over_lcm(spec: SeriesSpec, groups: dict[int, dict[tuple[int, ...], int]]
@@ -128,7 +128,7 @@ def _aligned_window(solution: QDESolution, fd: FrobeniusData) -> int:
     if solution.ring != fd.ring:
         raise RingMismatch("solution and product data use different rings")
     s_spec = solution.spec
-    a_spec = fd.a_matrices[0].spec
+    a_spec = fd.product[0].spec
     if s_spec.num_novikov != a_spec.num_novikov \
             or s_spec.novikov_order != a_spec.novikov_order:
         raise TruncationMismatch("Novikov truncations differ")
@@ -146,14 +146,14 @@ def qde_residual(solution: QDESolution, fd: FrobeniusData) -> list[ResidualSumma
     """dS/dt_k minus 1/(1-q) times (e_k *) S, one summary per k."""
     window = _aligned_window(solution, fd)
     rank = solution.ring.rank
-    s_w = solution.matrix.truncated(t_order=window)
-    spec_w = s_w.spec
+    # Truncate the product, not S: a copy of S would live through the loop.
+    order = min(solution.spec.t_order, fd.product[0].spec.t_order)
+    s = solution.matrix.truncated(t_order=order)
+    spec_w = s.spec.truncated(t_order=window)
     summaries = []
     for k in range(rank):
         ds = solution.partials[k].truncated(t_order=window)
-        # transpose: the action on the covariant index of S
-        a_k = fd.a_matrices[k].truncated(t_order=window).transpose()
-        product = a_k * s_w
+        product = (fd.product[k].truncated(t_order=order) * s).truncated(t_order=window)
         pieces = [
             ({"k": k, "entry": [i, j]},
              ds.entries[i][j] - product.entries[i][j].over_one_minus_q())
@@ -172,10 +172,7 @@ def gwdvv_residuals(solution: QDESolution, fd: FrobeniusData
     if rank < 2:
         return []
     partials = [p.truncated(t_order=window) for p in solution.partials]
-    a_trunc = [
-        fd.a_matrices[k].truncated(t_order=window).transpose()
-        for k in range(rank)
-    ]
+    a_trunc = [p.truncated(t_order=window) for p in fd.product]
     summaries = []
     for j in range(rank):
         for k in range(j + 1, rank):

@@ -114,8 +114,8 @@ def test_criterion_4_point_frobenius():
     for n in range(9):
         assert metric.coefficient({"t0": n}) == Fraction(1, factorial(n))
 
-    one = TruncatedSeries.one(fd.product[0][0][0].spec)
-    assert fd.product[0][0][0] == one
+    one = TruncatedSeries.one(fd.product[0].spec)
+    assert fd.product[0].entries[0][0] == one
 
     assert wdvv_residual(fd).is_zero
     flat = flatness_residuals(fd)
@@ -135,13 +135,13 @@ def test_criterion_5_projective_classical():
         table = CorrelatorTable.empty(ring, 1, {"type": "projective", "n": nproj})
         potential = assemble_potential(ring, table, 6, 0)
         fd = build_frobenius_data(potential)
-        spec3 = fd.product[0][0][0].spec
+        spec3 = fd.product[0].spec
         for i in range(ring.rank):
             for j in range(ring.rank):
                 for k in range(ring.rank):
                     classical = TruncatedSeries.constant(
                         spec3, ring.mult[i][j][k])
-                    assert fd.product[i][j][k] == classical
+                    assert fd.product[i].entries[j][k] == classical
         assert wdvv_residual(fd).is_zero
         assert unit_residual(fd).is_zero
         assert classical_limit_residual(fd).is_zero

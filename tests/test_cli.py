@@ -251,7 +251,7 @@ def test_qde_check_differentiates_once_per_variable(tmp_path, capsys,
     derivative = SeriesMatrix.derivative
 
     def counted(self, var):
-        calls.append(var)
+        calls.append((self.spec.t_order, var))
         return derivative(self, var)
 
     monkeypatch.setattr(SeriesMatrix, "derivative", counted)
@@ -260,7 +260,10 @@ def test_qde_check_differentiates_once_per_variable(tmp_path, capsys,
          "--t-order", "5", "--desc-order", "2"], capsys)
     assert code == 0
     assert len(json.loads(out)["gwdvv_residuals"]) == 3
-    assert sorted(calls) == ["t0", "t1", "t2"]
+    # S at t order 5 and the metric G (potential 5 + 3, Hessian 6), each
+    # once per variable.
+    assert sorted(calls) == [(5, "t0"), (5, "t1"), (5, "t2"),
+                             (6, "t0"), (6, "t1"), (6, "t2")]
 
 
 def test_qde_check_needs_descendent_data_off_point(capsys):

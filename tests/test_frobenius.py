@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import replace
 from fractions import Fraction
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, permutations
 from math import factorial
 
 import pytest
@@ -22,7 +22,6 @@ from qkzero import (
     flatness_residuals,
     matrix_inverse_geometric,
     point_kring,
-    product_tensor,
     projective_space_kring,
     quantized_metric,
     unit_residual,
@@ -62,7 +61,7 @@ def test_point_metric_is_exponential():
 
 def test_point_product_is_constant_one():
     fd = build_frobenius_data(point_potential(10))
-    c = fd.product[0][0][0]
+    c = fd.product[0].entries[0][0]
     assert c == TruncatedSeries.one(c.spec)
     assert c.spec.t_order == 7
 
@@ -141,21 +140,43 @@ def test_classical_product_equals_structure_constants():
         for j in range(3):
             for k in range(3):
                 expected = TruncatedSeries.constant(
-                    fd.product[i][j][k].spec, P2.mult[i][j][k])
-                assert fd.product[i][j][k] == expected
+                    fd.product[i].spec, P2.mult[i][j][k])
+                assert fd.product[i].entries[j][k] == expected
 
 
-def test_product_tensor_matches_pipeline():
-    p = point_potential(8)
-    gm = quantized_metric(p)
-    ginv = matrix_inverse_geometric(gm)
-    assert ginv == matrix_inverse_direct(gm)
-    third = (((gm.entries[0][0].derivative("t0"),),),)
-    c, a_matrices = product_tensor(third, ginv)
-    fd = build_frobenius_data(p)
-    assert fd.third == third
-    assert c == fd.product
-    assert a_matrices == fd.a_matrices
+def quantum_p1_table(max_degree=4, max_insertions=9):
+    # Every positive-degree invariant of P^1 with insertions from {1, O_pt}
+    # is 1 (Buch-Mihalcea); the benchmark's P^1 table, whose seed only
+    # shuffles the entry order.
+    table = empty_table(P1, 1, {"type": "projective", "n": 1})
+    for d in range(1, max_degree + 1):
+        for n in range(max_insertions + 1):
+            for kappa in combinations_with_replacement(range(2), n):
+                table = table.with_entry((d,), kappa, Fraction(1))
+    return table
+
+
+@pytest.mark.parametrize("ring,table,t_order,novikov_order", [
+    (P2, empty_table(P2, 1, {"type": "projective", "n": 2}).with_entry(
+        (0,), (1, 1, 2, 2), Fraction(3, 7)), 7, 0),
+    (P1, quantum_p1_table(), 9, 4),
+], ids=["perturbed-P2", "quantum-P1"])
+def test_frobenius_data_is_one_matrix_per_class(ring, table, t_order, novikov_order):
+    # Off classical data: a perturbed degree-zero entry, and quantum P^1.
+    potential = assemble_potential(ring, table, t_order, novikov_order)
+    gm = quantized_metric(potential)
+    fd = build_frobenius_data(potential)
+    rank = ring.rank
+    assert fd.gmetric == gm
+    assert fd.ginv == matrix_inverse_direct(gm)
+    ginv3 = fd.ginv.truncated(t_order=t_order - 3)
+    for k in range(rank):
+        assert fd.third[k] == gm.derivative(f"t{k}")
+        assert fd.product[k] == fd.third[k] * ginv3
+    for ijk in combinations_with_replacement(range(rank), 3):
+        first = fd.third[ijk[0]].entries[ijk[1]][ijk[2]]
+        for i, j, k in permutations(ijk):
+            assert fd.third[i].entries[j][k] == first, (i, j, k)
 
 
 def test_geometric_inverse_doubles_precision_per_round(monkeypatch):
@@ -270,25 +291,63 @@ def test_wdvv_detects_injected_quartic():
 
 def _sum(fd, i, j, k, l):
     rank = fd.ring.rank
-    spec = fd.product[0][0][0].spec
-    acc = TruncatedSeries.zero(spec)
+    acc = TruncatedSeries.zero(fd.product[0].spec)
     for nu in range(rank):
-        acc = acc + fd.product[i][j][nu] * fd.third[nu][k][l]
-        acc = acc - fd.product[i][k][nu] * fd.third[nu][j][l]
+        acc = acc + fd.product[i].entries[j][nu] * fd.third[nu].entries[k][l]
+        acc = acc - fd.product[i].entries[k][nu] * fd.third[nu].entries[j][l]
     return acc
 
 
-def test_r1_detects_non_potential_family():
-    fd = build_frobenius_data(
+def _classical_p1():
+    return build_frobenius_data(
         assemble_potential(P1, empty_table(P1, 1, {"type": "projective", "n": 1}),
                            6, 0))
-    spec = fd.a_matrices[0].spec
-    bump = TruncatedSeries.monomial(spec, {"t0": 1})
-    rows = [list(row) for row in fd.a_matrices[1].entries]
-    rows[0][1] = rows[0][1] + bump
-    crooked = replace(fd, a_matrices=(fd.a_matrices[0],
-                                      SeriesMatrix(tuple(map(tuple, rows)))))
+
+
+def _bumped(fd, k, row, col):
+    # fd with t0 added to entry (row, col) of product[k].
+    bump = TruncatedSeries.monomial(fd.product[k].spec, {"t0": 1})
+    rows = [list(r) for r in fd.product[k].entries]
+    rows[row][col] = rows[row][col] + bump
+    product = list(fd.product)
+    product[k] = SeriesMatrix(tuple(map(tuple, rows)))
+    return replace(fd, product=tuple(product))
+
+
+def test_r1_detects_non_potential_family():
+    fd = _classical_p1()
+    # Entry (0, 1) of the action A_1 = product[1]^T.
+    crooked = _bumped(fd, 1, 1, 0)
     flat = flatness_residuals(crooked)
     assert not flat.r1.is_zero
     assert flat.r1.witness["pair"] == [0, 1]
     assert flat.r1.witness["entry"] == [0, 1]
+
+
+def test_unit_residual_reports_entries_of_the_action():
+    fd = _classical_p1()
+    # t0 in c_{01}^0: e_0 * e_1 gains t0 e_0, entry (0, 1) of A_0 = product[0]^T.
+    unit = unit_residual(_bumped(fd, 0, 1, 0))
+    assert unit.witness["entry"] == [0, 1]
+    assert unit.witness["monomial"] == {"t0": 1}
+    assert unit.witness["value"] == "1/1"
+
+
+def test_levi_civita_detects_product_not_built_from_the_metric():
+    # A perturbed table breaks WDVV, yet product[k] * G = dG/dt_k holds by
+    # construction, so the Levi-Civita family stays zero.
+    table = empty_table(P1, 1, {"type": "projective", "n": 1}).with_entry(
+        (0,), (0, 1, 1, 1), Fraction(1, 5))
+    fd = build_frobenius_data(assemble_potential(P1, table, 7, 0))
+    assert not wdvv_residual(fd).is_zero
+    assert flatness_residuals(fd).levi_civita.is_zero
+    # On the classical line G = exp(t0) [[1 + t1, 1], [1, 0]].  t0 in
+    # c_{01}^1 shifts row 1 of product[0] * G by t0 G[1] = t0 exp(t0) (1, 0),
+    # so only (product[0] * G)[1][0] moves: the symmetrized pieces (0, 0, 1)
+    # and (0, 1, 0) move by -t0 exp(t0) / 2, whose largest coefficients are
+    # the 1/2s at t0 and t0^2.
+    lc = flatness_residuals(_bumped(_classical_p1(), 0, 1, 1)).levi_civita
+    assert lc.max_abs == Fraction(1, 2)
+    assert lc.witness["indices"] == [0, 0, 1]
+    assert lc.witness["monomial"] == {"t0": 1}
+    assert lc.witness["value"] == "-1/2"

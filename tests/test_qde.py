@@ -120,13 +120,12 @@ def test_degree_zero_solution_satisfies_equation(nproj):
 
 
 def test_transposed_action_fails_equation():
-    # The product matrices act on coordinates; the solution carries a
-    # paired index.  Using the coordinate-side action verbatim must break
+    # The transposed product matrices act on coordinates; the solution
+    # carries a paired index.  Using the coordinate-side action must break
     # the equation for any target of rank above one.
     t_order, q_order = 4, 2
     _, _, fd, solution = _projective_setup(1, t_order, q_order)
-    flipped = replace(
-        fd, a_matrices=tuple(m.transpose() for m in fd.a_matrices))
+    flipped = replace(fd, product=tuple(m.transpose() for m in fd.product))
     summaries = qde_residual(solution, flipped)
     assert any(not s.is_zero for s in summaries)
 
@@ -149,7 +148,7 @@ def test_perturbed_entry_footprint():
     window = T_POINT - 1
     s_entry = bad.matrix.entries[0][0]
     ds = s_entry.derivative("t0").truncated(t_order=window)
-    a_entry = fd.a_matrices[0].entries[0][0].truncated(t_order=window)
+    a_entry = fd.product[0].entries[0][0].truncated(t_order=window)
     geom = geometric_q(ds.spec)
     residual = ds - a_entry * s_entry.truncated(t_order=window) * geom
     expected = TruncatedSeries.monomial(ds.spec, {"t0": 2, "q": 2}, delta / 2)
@@ -216,6 +215,14 @@ def test_window_is_joint_certification():
     shallow_fd = build_frobenius_data(shallow_potential)
     summaries = qde_residual(solution, shallow_fd)
     assert summaries[0].window == {"t": 1, "novikov": 0, "q": M_POINT}
+    assert summaries[0].is_zero
+
+
+def test_deeper_product_is_cut_to_the_solution_window():
+    ring, table, _, solution = _point_setup()
+    deep_potential = assemble_potential(ring, table, T_POINT + 5, 0, q_order=M_POINT)
+    summaries = qde_residual(solution, build_frobenius_data(deep_potential))
+    assert summaries[0].window == {"t": T_POINT - 1, "novikov": 0, "q": M_POINT}
     assert summaries[0].is_zero
 
 
