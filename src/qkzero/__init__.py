@@ -41,7 +41,6 @@ from .frobenius import (
     wdvv_residual,
 )
 from .kring import (
-    KClass,
     KRingPresentation,
     euler_char_line_bundle,
     point_kring,

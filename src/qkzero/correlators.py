@@ -30,7 +30,7 @@ from .errors import (
     ModuliNonexistent,
     SchemaError,
 )
-from .kring import KClass, KRingPresentation, point_kring, projective_space_kring
+from .kring import KRingPresentation, point_kring, projective_space_kring
 from .series import format_rational, parse_rational
 
 DegreeVector = tuple[int, ...]
@@ -65,16 +65,31 @@ def effective_degrees(degree_rank: int, bound: int) -> Iterator[DegreeVector]:
             yield vec
 
 
+def _times_basis(mult: tuple, coords: tuple, k: int) -> tuple:
+    """Coordinates of (sum_i coords[i] e_i) * e_k, read from the rows
+    mult[i][k] of the nonzero coordinates; zero structure constants are
+    skipped."""
+    out = [0] * len(coords)
+    for i, u in enumerate(coords):
+        if u:
+            for l, m in enumerate(mult[i][k]):
+                if m:
+                    out[l] += u * m
+    return tuple(out)
+
+
 def degree_zero_chi(ring: KRingPresentation) -> Callable[[Iterable[int]], Fraction]:
     """chi of the product of basis insertions, as a function of the multiset.
 
-    Each sorted multiset's product is one multiply away from its longest
-    prefix already formed, so walking multisets in ascending order costs
-    one class product apiece.  The cache lives in the returned function;
-    build one per assembly.
+    Products are coordinate tuples in the basis e_0..e_r.  Each sorted
+    multiset's product is one multiply by a basis class away from its
+    longest prefix already formed, so walking multisets in ascending order
+    costs one product apiece; chi is the pairing against the unit e_0.  The
+    cache lives in the returned function; build one per assembly.
     """
-    basis = [ring.basis_class(i) for i in range(ring.rank)]
-    products: dict[tuple[int, ...], KClass] = {(): ring.unit()}
+    mult = ring.mult
+    pair_unit = [row[0] for row in ring.pairing]
+    products: dict[tuple[int, ...], tuple] = {(): (1,) + (0,) * (ring.rank - 1)}
 
     def chi(insertions: Iterable[int]) -> Fraction:
         key = tuple(sorted(int(i) for i in insertions))
@@ -89,9 +104,9 @@ def degree_zero_chi(ring: KRingPresentation) -> Callable[[Iterable[int]], Fracti
             cut -= 1
         acc = products[key[:cut]]
         for end in range(cut + 1, len(key) + 1):
-            acc = acc * basis[key[end - 1]]
+            acc = _times_basis(mult, acc, key[end - 1])
             products[key[:end]] = acc
-        return acc.chi()
+        return sum((u * g for u, g in zip(acc, pair_unit) if u), Fraction(0))
 
     return chi
 

@@ -15,10 +15,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial, prod
 
-from .errors import InvalidPresentation, RingMismatch, SchemaError
+from .errors import InvalidPresentation, SchemaError
 from .series import format_rational, parse_rational, try_rational_inverse
-
-Rational = Fraction
 
 
 def euler_char_line_bundle(n: int, k: int) -> Fraction:
@@ -93,13 +91,6 @@ class KRingPresentation:
     def rank(self) -> int:
         return len(self.labels)
 
-    def unit(self) -> "KClass":
-        return self.basis_class(0)
-
-    def basis_class(self, i: int) -> "KClass":
-        coords = tuple(Fraction(int(i == j)) for j in range(self.rank))
-        return KClass(self, coords)
-
     def to_json_dict(self) -> dict:
         return {
             "rank": self.rank,
@@ -132,62 +123,6 @@ class KRingPresentation:
         except TypeError as exc:
             raise SchemaError(f"malformed tensor: {exc}") from exc
         return cls(tuple(labels), mult, pairing)
-
-
-@dataclass(frozen=True)
-class KClass:
-    """An element of a presented K-ring, stored by basis coordinates."""
-
-    ring: KRingPresentation
-    coords: tuple[Fraction, ...]
-
-    def __post_init__(self) -> None:
-        coords = tuple(x if type(x) is Fraction else Fraction(x) for x in self.coords)
-        if len(coords) != self.ring.rank:
-            raise ValueError("coordinate vector has wrong length")
-        object.__setattr__(self, "coords", coords)
-
-    def _check(self, other: "KClass") -> None:
-        if self.ring != other.ring:
-            raise RingMismatch("classes live in different ring presentations")
-
-    def __add__(self, other: "KClass") -> "KClass":
-        self._check(other)
-        return KClass(self.ring, tuple(a + b for a, b in zip(self.coords, other.coords)))
-
-    def __mul__(self, other: "KClass") -> "KClass":
-        self._check(other)
-        r = self.ring.rank
-        m = self.ring.mult
-        out = [Fraction(0)] * r
-        for i, u in enumerate(self.coords):
-            if u == 0:
-                continue
-            for j, v in enumerate(other.coords):
-                if v == 0:
-                    continue
-                for k in range(r):
-                    if m[i][j][k] != 0:
-                        out[k] += u * v * m[i][j][k]
-        return KClass(self.ring, tuple(out))
-
-    def scaled(self, value: Fraction | int) -> "KClass":
-        f = Fraction(value)
-        return KClass(self.ring, tuple(f * x for x in self.coords))
-
-    def pair(self, other: "KClass") -> Fraction:
-        self._check(other)
-        g = self.ring.pairing
-        return sum(
-            (u * v * g[i][j]
-             for i, u in enumerate(self.coords) if u != 0
-             for j, v in enumerate(other.coords) if v != 0),
-            Fraction(0),
-        )
-
-    def chi(self) -> Fraction:
-        """Euler characteristic: the pairing against the unit."""
-        return self.pair(self.ring.unit())
 
 
 def point_kring() -> KRingPresentation:

@@ -401,43 +401,6 @@ class TruncatedSeries:
             "terms": terms,
         }
 
-    @classmethod
-    def from_json_dict(cls, doc: object) -> "TruncatedSeries":
-        if not isinstance(doc, dict):
-            raise SchemaError("series document must be an object")
-        try:
-            vars_doc = doc["vars"]
-            trunc = doc["trunc"]
-            terms = doc["terms"]
-        except (KeyError, TypeError) as exc:
-            raise SchemaError(f"series document missing field: {exc}") from exc
-        if not isinstance(vars_doc, dict) or set(vars_doc) != {"t", "Q", "q"}:
-            raise SchemaError("vars must list the groups t, Q, q")
-        t_vars, nov_vars = list(vars_doc["t"]), list(vars_doc["Q"])
-        if not isinstance(trunc, dict) or any(type(trunc.get(g)) is not int for g in "tQq"):
-            raise SchemaError(f"trunc must give integer orders t, Q, q: {trunc!r}")
-        spec = SeriesSpec(len(t_vars), len(nov_vars), trunc["t"], trunc["Q"], trunc["q"])
-        if t_vars != list(spec.t_vars) or nov_vars != list(spec.novikov_vars) \
-                or list(vars_doc["q"]) != ["q"]:
-            raise SchemaError("variables must be canonically named t0.., Q0.., q")
-        coeffs: dict[Exponent, Fraction] = {}
-        if not isinstance(terms, list):
-            raise SchemaError("terms must be a list")
-        for item in terms:
-            if not isinstance(item, dict) or set(item) != {"exp", "value"}:
-                raise SchemaError(f"malformed term: {item!r}")
-            exp = item["exp"]
-            if (not isinstance(exp, list) or len(exp) != spec.nvars
-                    or any(type(e) is not int or e < 0 for e in exp)):
-                raise SchemaError(f"bad exponent {exp!r}")
-            exp = tuple(exp)
-            if not spec.admits(exp):
-                raise SchemaError(f"exponent {item['exp']!r} exceeds stated truncation")
-            if exp in coeffs:
-                raise SchemaError(f"duplicate exponent {item['exp']!r}")
-            coeffs[exp] = parse_rational(item["value"])
-        return cls(spec, coeffs)
-
 
 # -- exact linear algebra over the rationals -------------------------------
 

@@ -3,7 +3,9 @@
 Each oracle reaches its value by a route the library does not use: closed
 forms, brute-force enumeration over all reduction orders, direct Euler
 characteristic expansion, order-by-order integration of the differential
-equation, a sympy re-implementation of the associativity residual, the
+equation, class products contracted with the full structure-constant table
+beside the library's prefix-cached coordinate kernel, a sympy
+re-implementation of the associativity residual, the
 all-pairs series product the library's window-aware kernel replaced,
 coefficient-wise Fraction sums, derivatives and 1/(1-q) products beside the
 library's integer-numerator operations, the truncated geometric series in q
@@ -90,6 +92,18 @@ def is_reducible(exponents) -> bool:
 # -- Euler characteristic series oracle --------------------------------------
 
 
+def class_chi(ring: KRingPresentation, insertions: tuple[int, ...]) -> Fraction:
+    """chi of the product of basis insertions: from the unit, each insertion
+    e_j contracts the coordinates with the full table mult[j], zeros
+    included, and the result is paired with the unit's row of the pairing."""
+    r = ring.rank
+    coords = [Fraction(int(k == 0)) for k in range(r)]
+    for j in insertions:
+        coords = [sum(coords[i] * ring.mult[j][i][k] for i in range(r))
+                  for k in range(r)]
+    return sum(coords[i] * ring.pairing[0][i] for i in range(r))
+
+
 def chi_exponential_series(ring: KRingPresentation, fixed: tuple[int, ...],
                            order: int) -> dict[tuple[int, ...], Fraction]:
     """Coefficients of chi(e_{fixed} * exp(t)) by direct multiset expansion.
@@ -99,20 +113,14 @@ def chi_exponential_series(ring: KRingPresentation, fixed: tuple[int, ...],
     tensor (three fixed insertions) computed without any series machinery.
     """
     rank = ring.rank
-    base = ring.unit()
-    for i in fixed:
-        base = base * ring.basis_class(i)
-
     out: dict[tuple[int, ...], Fraction] = {}
 
     def visit(counts: tuple[int, ...]) -> None:
-        cls = base
         weight = Fraction(1)
-        for i, c in enumerate(counts):
-            for _ in range(c):
-                cls = cls * ring.basis_class(i)
+        for c in counts:
             weight /= factorial(c)
-        value = cls.chi() * weight
+        expanded = tuple(i for i, c in enumerate(counts) for _ in range(c))
+        value = class_chi(ring, fixed + expanded) * weight
         if value != 0:
             out[counts] = value
 
@@ -126,6 +134,16 @@ def chi_exponential_series(ring: KRingPresentation, fixed: tuple[int, ...],
     for total in range(order + 1):
         rec(0, (), total)
     return out
+
+
+def p2_line_bundle_kring() -> KRingPresentation:
+    """K(P^2) in the basis 1, O(-1), O(-2), whose structure constants leave
+    {0, 1}.  With L = O(-1), (1 - L)^3 = 0 gives L^3 = 1 - 3L + 3L^2 and
+    L^4 = 3 - 8L + 6L^2; the pairing is chi(O(-i-j))."""
+    powers = ((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, -3, 3), (3, -8, 6))
+    mult = tuple(tuple(powers[i + j] for j in range(3)) for i in range(3))
+    pairing = ((1, 0, 0), (0, 0, 1), (0, 1, 3))
+    return KRingPresentation(("1", "O(-1)", "O(-2)"), mult, pairing)
 
 
 # -- degree-zero descendent correlators for any target ------------------------
@@ -146,11 +164,8 @@ def degree_zero_descendent_table(ring: KRingPresentation, target_doc: dict,
     beta = (0,)
     for n in range(1, t_order + 1):
         for ins in combinations_with_replacement(range(ring.rank), n + 1):
-            cls = ring.unit()
-            for idx in ins:
-                cls = cls * ring.basis_class(idx)
             for j in range(ring.rank):
-                chi_val = (cls * ring.basis_class(j)).chi()
+                chi_val = class_chi(ring, ins + (j,))
                 for d in range(q_order + 1):
                     value = Fraction(comb(n + d - 1, d)) * chi_val
                     entries[(beta, ins, (j, d))] = value

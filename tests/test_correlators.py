@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from itertools import combinations_with_replacement
 
 import pytest
 from hypothesis import given, settings
@@ -17,11 +18,14 @@ from qkzero import (
     SchemaError,
     beta_zero_correlator,
     effective_degrees,
+    euler_char_line_bundle,
     load_correlators,
     point_kring,
     projective_space_kring,
     table_consistency_check,
 )
+
+from oracles import p2_line_bundle_kring
 
 P1 = projective_space_kring(1)
 
@@ -62,12 +66,16 @@ def test_beta_zero_symmetry(insertions):
     assert value == beta_zero_correlator(p2, tuple(sorted(insertions)))
 
 
-def test_beta_zero_multilinearity_through_classes():
-    # chi((u + 3v) w z) = chi(u w z) + 3 chi(v w z) via the class route.
-    p2 = projective_space_kring(2)
-    u, v, w, z = (p2.basis_class(i) for i in (0, 1, 2, 1))
-    combined = ((u + v.scaled(3)) * w * z).chi()
-    assert combined == (u * w * z).chi() + 3 * (v * w * z).chi()
+def test_beta_zero_line_bundle_basis_matches_closed_form():
+    # In the basis O(-i) the product of the insertions is O(-sum), so chi is
+    # the line-bundle closed form; structure constants such as -8 and 6 in
+    # O(-2) * O(-2) must all be carried.
+    ring = p2_line_bundle_kring()
+    assert ring.mult[2][2] == (3, -8, 6)
+    for n in range(3, 7):
+        for ins in combinations_with_replacement(range(3), n):
+            assert beta_zero_correlator(ring, ins) == euler_char_line_bundle(2, -sum(ins))
+    assert beta_zero_correlator(ring, (2,) * 5) == 36
 
 
 def test_effective_degrees_enumeration():

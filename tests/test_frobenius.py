@@ -9,11 +9,11 @@ from math import factorial
 
 import pytest
 
+import qkzero.correlators as correlators
 import qkzero.frobenius as frobenius
 from qkzero import (
     CorrelatorTable,
     IncompleteTable,
-    KClass,
     SeriesMatrix,
     TruncatedSeries,
     assemble_potential,
@@ -28,11 +28,17 @@ from qkzero import (
     wdvv_residual,
 )
 
-from oracles import chi_exponential_series, matrix_inverse_direct, sympy_wdvv_tensor
+from oracles import (
+    chi_exponential_series,
+    matrix_inverse_direct,
+    p2_line_bundle_kring,
+    sympy_wdvv_tensor,
+)
 
 POINT = point_kring()
 P1 = projective_space_kring(1)
 P2 = projective_space_kring(2)
+P2_LINE_BUNDLES = p2_line_bundle_kring()
 
 
 def empty_table(ring, degree_rank=0, target=None):
@@ -119,6 +125,8 @@ def test_projective_line_metric_closed_form():
 @pytest.mark.parametrize("ring,target", [
     (P1, {"type": "projective", "n": 1}),
     (P2, {"type": "projective", "n": 2}),
+    (projective_space_kring(3), {"type": "projective", "n": 3}),
+    (P2_LINE_BUNDLES, {"type": "custom", "ring": P2_LINE_BUNDLES.to_json_dict()}),
 ])
 def test_projective_classical_identities(ring, target):
     p = assemble_potential(ring, empty_table(ring, 1, target), 6, 0)
@@ -132,16 +140,18 @@ def test_projective_classical_identities(ring, target):
 
 
 def test_classical_product_equals_structure_constants():
-    p = assemble_potential(P2, empty_table(P2, 1, {"type": "projective", "n": 2}),
-                           6, 0)
-    fd = build_frobenius_data(p)
-    # With no Novikov data the product must be the constant classical table.
-    for i in range(3):
-        for j in range(3):
-            for k in range(3):
-                expected = TruncatedSeries.constant(
-                    fd.product[i].spec, P2.mult[i][j][k])
-                assert fd.product[i].entries[j][k] == expected
+    for nproj in (1, 2, 3):
+        ring = projective_space_kring(nproj)
+        p = assemble_potential(
+            ring, empty_table(ring, 1, {"type": "projective", "n": nproj}), 6, 0)
+        fd = build_frobenius_data(p)
+        # With no Novikov data the product must be the constant classical table.
+        for i in range(ring.rank):
+            for j in range(ring.rank):
+                for k in range(ring.rank):
+                    expected = TruncatedSeries.constant(
+                        fd.product[i].spec, ring.mult[i][j][k])
+                    assert fd.product[i].entries[j][k] == expected, (nproj, i, j, k)
 
 
 def quantum_p1_table(max_degree=4, max_insertions=9):
@@ -241,13 +251,13 @@ def test_potential_forms_one_class_product_per_multiset(monkeypatch):
     # sizes 1 and 2 are the prefixes of the 1,266 the potential sums over.
     # Multiplying each multiset up from the unit would take 8,545 products.
     calls = []
-    mul = KClass.__mul__
+    mul = correlators._times_basis
 
-    def counted(self, other):
+    def counted(*args):
         calls.append(None)
-        return mul(self, other)
+        return mul(*args)
 
-    monkeypatch.setattr(KClass, "__mul__", counted)
+    monkeypatch.setattr(correlators, "_times_basis", counted)
     p4 = projective_space_kring(4)
     assemble_potential(p4, empty_table(p4, 1, {"type": "projective", "n": 4}), 8, 0)
     assert len(calls) == 1286

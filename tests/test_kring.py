@@ -1,4 +1,4 @@
-"""Ring presentations: construction gates, pairing values, class arithmetic."""
+"""Ring presentations: construction gates, pairing values, structure constants."""
 
 from __future__ import annotations
 
@@ -10,10 +10,9 @@ from hypothesis import strategies as st
 
 from qkzero import (
     InvalidPresentation,
-    KClass,
     KRingPresentation,
-    RingMismatch,
     SchemaError,
+    beta_zero_correlator,
     euler_char_line_bundle,
     point_kring,
     projective_space_kring,
@@ -35,7 +34,7 @@ def test_point_ring():
     ring = point_kring()
     assert ring.rank == 1
     assert ring.pairing == ((Fraction(1),),)
-    assert ring.unit().chi() == 1
+    assert beta_zero_correlator(ring, (0, 0, 0)) == 1
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -51,28 +50,8 @@ def test_projective_pairing_is_antitriangular(n):
 
 def test_projective_line_products_vanish_past_dimension():
     ring = projective_space_kring(1)
-    a = ring.basis_class(1)
-    sq = a * a
-    assert sq.coords == (Fraction(0), Fraction(0))
-    assert (a * a).chi() == 0
-
-
-def test_class_arithmetic_and_pairing():
-    ring = projective_space_kring(2)
-    a = ring.basis_class(1)
-    one = ring.unit()
-    combo = one + a.scaled(Fraction(3, 2))
-    assert combo.pair(a) == ring.pairing[0][1] + Fraction(3, 2) * ring.pairing[1][1]
-    assert (combo * a).coords == (Fraction(0), Fraction(1), Fraction(3, 2))
-
-
-def test_ring_mismatch_rejected():
-    u = projective_space_kring(1).unit()
-    v = projective_space_kring(2).unit()
-    with pytest.raises(RingMismatch):
-        u * v
-    with pytest.raises(RingMismatch):
-        u.pair(v)
+    assert ring.mult[1][1] == (Fraction(0), Fraction(0))
+    assert beta_zero_correlator(ring, (1, 1, 0)) == 0
 
 
 def test_json_round_trip():

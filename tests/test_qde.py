@@ -105,7 +105,7 @@ def test_point_residual_vanishes_on_certified_window():
     assert is_complete(solution)
 
 
-@pytest.mark.parametrize("nproj", [1, 2])
+@pytest.mark.parametrize("nproj", [1, 2, 3])
 def test_degree_zero_solution_satisfies_equation(nproj):
     t_order, q_order = 5, 3
     ring, _, fd, solution = _projective_setup(nproj, t_order, q_order)

@@ -1,4 +1,4 @@
-"""Series core: arithmetic, truncation discipline, inverses, serialization."""
+"""Series core: arithmetic, truncation discipline, inverses, rational text."""
 
 from __future__ import annotations
 
@@ -309,47 +309,6 @@ def test_product_cancelling_to_one(f):
     assert (one + f) * geometric == one
 
 
-@given(_series())
-@settings(max_examples=40, deadline=None)
-def test_json_round_trip(a):
-    doc = a.to_json_dict()
-    back = TruncatedSeries.from_json_dict(doc)
-    assert back == a
-
-
-def test_json_rejects_out_of_window_terms():
-    doc = TruncatedSeries.one(SPEC1).to_json_dict()
-    doc["terms"].append({"exp": [9, 0], "value": "1/1"})
-    with pytest.raises(SchemaError):
-        TruncatedSeries.from_json_dict(doc)
-    # The window itself must be stated in integers.
-    for order in (2.9, True):
-        doc = TruncatedSeries.one(SPEC1).to_json_dict()
-        doc["trunc"]["t"] = order
-        with pytest.raises(SchemaError):
-            TruncatedSeries.from_json_dict(doc)
-
-
-def test_json_rejects_bad_rational():
-    doc = TruncatedSeries.one(SPEC1).to_json_dict()
-    doc["terms"][0]["value"] = "0.5"
-    with pytest.raises(SchemaError):
-        TruncatedSeries.from_json_dict(doc)
-    # Exponents are exact integers too: no floats, no booleans.
-    for exp in ([1.5, 0], [True, 0]):
-        doc = TruncatedSeries.one(SPEC1).to_json_dict()
-        doc["terms"].append({"exp": exp, "value": "1/1"})
-        with pytest.raises(SchemaError):
-            TruncatedSeries.from_json_dict(doc)
-
-
-def test_json_rejects_duplicate_exponent():
-    doc = TruncatedSeries.one(SPEC1).to_json_dict()
-    doc["terms"].append({"exp": [0, 0], "value": "2/1"})
-    with pytest.raises(SchemaError):
-        TruncatedSeries.from_json_dict(doc)
-
-
 # -- parsing rationals ----------------------------------------------------------
 
 
@@ -527,9 +486,10 @@ def test_fundamental_solution_builds_no_fraction_per_term(monkeypatch):
 
 
 def test_potential_classes_keep_their_fraction_coordinates(monkeypatch):
-    """A KClass converts only coordinates that are not Fractions yet, so
-    the degree-zero products behind the P^4 potential at t order 8 build
-    under half the 22,832 Fractions a copy of every coordinate took."""
+    """The degree-zero products behind the P^4 potential at t order 8 are
+    coordinate tuples that start from integers and never re-convert a
+    coordinate, so they build under half the 22,832 Fractions a copy of
+    every coordinate took."""
     ring = projective_space_kring(4)
     table = CorrelatorTable.empty(ring, 0, {"type": "projective", "n": 4})
     made, potential = _count_fractions(
