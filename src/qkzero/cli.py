@@ -16,7 +16,6 @@ import argparse
 import json
 import re
 import sys
-from dataclasses import dataclass
 
 from .correlators import (
     CorrelatorTable,
@@ -51,33 +50,22 @@ _INDEX_PART_RE = re.compile(r"-?[0-9]+")
 _DIMENSION_RE = re.compile(r"[0-9]+")
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Resolved options for one invocation."""
-
-    command: str
-    target: str | None = None
-    t_order: int = 6
-    novikov_order: int = 0
-    desc_order: int = 0
-    input_path: str | None = None
-    output_path: str | None = None
-
-    def validate_orders(self, need_potential: bool) -> None:
-        if min(self.t_order, self.novikov_order, self.desc_order) < 0:
-            raise ValueError("orders must be non-negative")
-        if need_potential and self.t_order < 3:
-            raise ValueError("potential assembly needs t order >= 3")
+def validate_orders(args: argparse.Namespace) -> None:
+    """Orders a potential is assembled from: none negative, t order >= 3."""
+    if min(args.t_order, args.novikov_order, args.desc_order) < 0:
+        raise ValueError("orders must be non-negative")
+    if args.t_order < 3:
+        raise ValueError("potential assembly needs t order >= 3")
 
 
-def _emit(config: RunConfig, doc: dict, summary: str) -> None:
-    _write(config, json.dumps(doc, indent=2, sort_keys=True) + "\n", summary)
+def _emit(args: argparse.Namespace, doc: dict, summary: str) -> None:
+    _write(args, json.dumps(doc, indent=2, sort_keys=True) + "\n", summary)
 
 
-def _write(config: RunConfig, text: str, summary: str) -> None:
+def _write(args: argparse.Namespace, text: str, summary: str) -> None:
     """The report to --output or stdout, then the summary to stderr."""
-    if config.output_path:
-        with open(config.output_path, "w", encoding="utf-8") as fh:
+    if args.output_path:
+        with open(args.output_path, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -116,27 +104,27 @@ def parse_target(text: str) -> dict:
     raise ValueError(f"unknown target {text!r}")
 
 
-def _resolve_table(config: RunConfig) -> tuple[KRingPresentation, CorrelatorTable]:
+def _resolve_table(args: argparse.Namespace) -> tuple[KRingPresentation, CorrelatorTable]:
     """Table from --input, or an empty table for the named target."""
-    if config.input_path:
-        table = load_correlators(_read_json(config.input_path))
-        if config.target is not None:
-            named = ring_from_target(parse_target(config.target))
+    if args.input_path:
+        table = load_correlators(_read_json(args.input_path))
+        if args.target is not None:
+            named = ring_from_target(parse_target(args.target))
             if named != table.ring:
                 raise ValueError(
                     "--target disagrees with the ring of the input table")
         return table.ring, table
-    if config.target is None:
+    if args.target is None:
         raise ValueError("need --target or --input")
-    target_doc = parse_target(config.target)
+    target_doc = parse_target(args.target)
     ring = ring_from_target(target_doc)
     degree_rank = 0 if target_doc["type"] == "point" else 1
     return ring, CorrelatorTable.empty(ring, degree_rank, target_doc)
 
 
-def cmd_descendent(config: RunConfig, raw_index: str | None) -> int:
-    if config.input_path:
-        batch = _read_json(config.input_path)
+def cmd_descendent(args: argparse.Namespace) -> int:
+    if args.input_path:
+        batch = _read_json(args.input_path)
         if not isinstance(batch, list) or not all(
                 isinstance(idx, list) and all(type(d) is int for d in idx)
                 for idx in batch):
@@ -153,38 +141,38 @@ def cmd_descendent(config: RunConfig, raw_index: str | None) -> int:
                 any_irreducible = True
             lines.append(json.dumps({"index": idx, "value": value},
                                     sort_keys=True))
-        _write(config, "\n".join(lines) + "\n",
+        _write(args, "\n".join(lines) + "\n",
                f"evaluated {len(batch)} descendent indices")
         return EXIT_NOT_REDUCIBLE if any_irreducible else EXIT_OK
-    if raw_index is None:
+    if args.index is None:
         print("give an index like 2,3,0,1 or --input batch.json", file=sys.stderr)
         return EXIT_BAD_INPUT
-    exponents = _parse_index(raw_index)
+    exponents = _parse_index(args.index)
     try:
         value = descendent_euler(exponents)
     except NotReducible as exc:
-        _write(config, "NotReducible\n", str(exc))
+        _write(args, "NotReducible\n", str(exc))
         return EXIT_NOT_REDUCIBLE
-    _write(config, f"{value}\n", f"E({len(exponents)}; {exponents}) computed")
+    _write(args, f"{value}\n", f"E({len(exponents)}; {exponents}) computed")
     return EXIT_OK
 
 
-def cmd_potential(config: RunConfig) -> int:
-    config.validate_orders(need_potential=True)
-    ring, table = _resolve_table(config)
-    potential = assemble_potential(ring, table, config.t_order,
-                                   config.novikov_order)
-    _emit(config, potential.series.to_json_dict(),
-          f"potential assembled at t order {config.t_order}, "
-          f"Novikov order {config.novikov_order}")
+def cmd_potential(args: argparse.Namespace) -> int:
+    validate_orders(args)
+    ring, table = _resolve_table(args)
+    potential = assemble_potential(ring, table, args.t_order,
+                                   args.novikov_order)
+    _emit(args, potential.series.to_json_dict(),
+          f"potential assembled at t order {args.t_order}, "
+          f"Novikov order {args.novikov_order}")
     return EXIT_OK
 
 
-def cmd_frobenius_check(config: RunConfig) -> int:
-    config.validate_orders(need_potential=True)
-    ring, table = _resolve_table(config)
-    potential = assemble_potential(ring, table, config.t_order,
-                                   config.novikov_order)
+def cmd_frobenius_check(args: argparse.Namespace) -> int:
+    validate_orders(args)
+    ring, table = _resolve_table(args)
+    potential = assemble_potential(ring, table, args.t_order,
+                                   args.novikov_order)
     fd = build_frobenius_data(potential)
     wdvv = wdvv_residual(fd)
     flat = flatness_residuals(fd)
@@ -192,8 +180,8 @@ def cmd_frobenius_check(config: RunConfig) -> int:
     classical = classical_limit_residual(fd)
     doc = {
         "certified_orders": {
-            "potential_t": config.t_order,
-            "novikov": config.novikov_order,
+            "potential_t": args.t_order,
+            "novikov": args.novikov_order,
             "windows": {
                 "wdvv": wdvv.window,
                 "r1": flat.r1.window,
@@ -216,24 +204,24 @@ def cmd_frobenius_check(config: RunConfig) -> int:
     }
     all_zero = (wdvv.is_zero and flat.is_zero and unit.is_zero
                 and classical.is_zero)
-    _emit(config, doc,
+    _emit(args, doc,
           "all residuals exactly zero on certified windows" if all_zero
           else "NONZERO residuals found; see report")
     return EXIT_OK if all_zero else EXIT_RESIDUAL
 
 
-def cmd_qde_check(config: RunConfig) -> int:
-    config.validate_orders(need_potential=True)
-    ring, table = _resolve_table(config)
+def cmd_qde_check(args: argparse.Namespace) -> int:
+    validate_orders(args)
+    ring, table = _resolve_table(args)
     # Potential three orders higher so the product is certified on the
     # same t window as the derivative of the solution.
-    potential = assemble_potential(ring, table, config.t_order + 3,
-                                   config.novikov_order,
-                                   q_order=config.desc_order)
+    potential = assemble_potential(ring, table, args.t_order + 3,
+                                   args.novikov_order,
+                                   q_order=args.desc_order)
     fd = build_frobenius_data(potential)
-    solution = assemble_fundamental_solution(ring, table, config.t_order,
-                                             config.novikov_order,
-                                             config.desc_order)
+    solution = assemble_fundamental_solution(ring, table, args.t_order,
+                                             args.novikov_order,
+                                             args.desc_order)
     residuals = qde_residual(solution, fd)
     gwdvv = gwdvv_residuals(solution, fd)
     complete = is_complete(solution)
@@ -249,28 +237,28 @@ def cmd_qde_check(config: RunConfig) -> int:
     }
     all_zero = (all(s.is_zero for s in residuals)
                 and all(s.is_zero for _, s in gwdvv))
-    _emit(config, doc,
+    _emit(args, doc,
           "connection equation and generalized associativity hold exactly"
           if all_zero and complete else "NONZERO residuals found; see report")
     return EXIT_OK if all_zero and complete else EXIT_RESIDUAL
 
 
-def cmd_table_check(config: RunConfig) -> int:
-    if not config.input_path:
+def cmd_table_check(args: argparse.Namespace) -> int:
+    if not args.input_path:
         raise ValueError("table-check needs --input")
-    table = load_correlators(_read_json(config.input_path))
+    table = load_correlators(_read_json(args.input_path))
     report = table_consistency_check(table)
-    _emit(config, report.to_json_dict(),
+    _emit(args, report.to_json_dict(),
           f"checked {report.checked_pairs} unit-insertion pairs, "
           f"{len(report.violations)} violations")
     return EXIT_OK if report.ok else EXIT_RESIDUAL
 
 
-def cmd_kring_info(config: RunConfig) -> int:
-    if config.target is None:
+def cmd_kring_info(args: argparse.Namespace) -> int:
+    if args.target is None:
         raise ValueError("kring info needs --target")
-    ring = ring_from_target(parse_target(config.target))
-    _emit(config, ring.to_json_dict(),
+    ring = ring_from_target(parse_target(args.target))
+    _emit(args, ring.to_json_dict(),
           f"rank {ring.rank} presentation, labels {list(ring.labels)}")
     return EXIT_OK
 
@@ -298,17 +286,23 @@ def build_parser() -> argparse.ArgumentParser:
                             help="evaluate descendent Euler characteristics")
     p_desc.add_argument("index", nargs="?",
                         help="comma-separated cotangent powers, e.g. 2,3,0,1")
+    p_desc.set_defaults(run=cmd_descendent)
     sub.add_parser("potential", parents=[shared],
-                   help="assemble and print the potential")
+                   help="assemble and print the potential"
+                   ).set_defaults(run=cmd_potential)
     sub.add_parser("frobenius-check", parents=[shared],
-                   help="verify WDVV, flatness, unit, and classical limits")
+                   help="verify WDVV, flatness, unit, and classical limits"
+                   ).set_defaults(run=cmd_frobenius_check)
     sub.add_parser("qde-check", parents=[shared],
-                   help="verify the quantum differential equation")
+                   help="verify the quantum differential equation"
+                   ).set_defaults(run=cmd_qde_check)
     sub.add_parser("table-check", parents=[shared],
-                   help="check a correlator table for unit-insertion consistency")
+                   help="check a correlator table for unit-insertion consistency"
+                   ).set_defaults(run=cmd_table_check)
     p_kring = sub.add_parser("kring", parents=[shared],
                              help="inspect ring presentations")
     p_kring.add_argument("action", choices=["info"])
+    p_kring.set_defaults(run=cmd_kring_info)
     return parser
 
 
@@ -320,29 +314,8 @@ def main(argv: list[str] | None = None) -> int:
         # argparse already printed a usage message
         return EXIT_BAD_INPUT
 
-    config = RunConfig(
-        command=args.command,
-        target=args.target,
-        t_order=args.t_order,
-        novikov_order=args.novikov_order,
-        desc_order=args.desc_order,
-        input_path=args.input_path,
-        output_path=args.output_path,
-    )
     try:
-        if config.command == "descendent":
-            return cmd_descendent(config, args.index)
-        if config.command == "potential":
-            return cmd_potential(config)
-        if config.command == "frobenius-check":
-            return cmd_frobenius_check(config)
-        if config.command == "qde-check":
-            return cmd_qde_check(config)
-        if config.command == "table-check":
-            return cmd_table_check(config)
-        if config.command == "kring":
-            return cmd_kring_info(config)
-        raise AssertionError(f"unhandled command {config.command}")
+        return args.run(args)
     except NotReducible as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_NOT_REDUCIBLE

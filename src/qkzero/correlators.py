@@ -22,6 +22,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from itertools import combinations_with_replacement, product
+from math import factorial, prod
 from typing import Callable, Iterable, Iterator
 
 from .errors import (
@@ -52,17 +54,29 @@ def validate_degree(beta: object, degree_rank: int) -> DegreeVector:
 def effective_degrees(degree_rank: int, bound: int) -> Iterator[DegreeVector]:
     """All componentwise non-negative vectors of total degree <= bound,
     in ascending total degree then lexicographic order."""
-    def rec(slots: int, budget: int) -> Iterator[tuple[int, ...]]:
-        if slots == 0:
-            yield ()
-            return
-        for head in range(budget + 1):
-            for tail in rec(slots - 1, budget - head):
-                yield (head,) + tail
+    yield from sorted((v for v in product(range(bound + 1), repeat=degree_rank)
+                       if sum(v) <= bound), key=lambda v: (sum(v), v))
 
-    for total in range(bound + 1):
-        for vec in sorted(v for v in rec(degree_rank, total) if sum(v) == total):
-            yield vec
+
+def insertion_multisets(rank: int, degree_rank: int, t_order: int, novikov_order: int,
+                        zero_from: int) -> Iterator[tuple[DegreeVector, tuple[int, ...],
+                                                          tuple[int, ...], int]]:
+    """Every (beta, kappa) a generating series truncated at t_order and
+    novikov_order sums over, with the exponent of its t and Novikov
+    variables and the symmetry factor prod m_i! of its multiplicities.
+
+    Degrees come in ascending total degree, then by the number n of
+    insertions, then in the order of combinations_with_replacement, so the
+    first missing key of a table is well defined.  Degree zero starts at
+    n = zero_from insertions; positive degree at n = 0.
+    """
+    for beta in effective_degrees(degree_rank, novikov_order):
+        for n in range(0 if any(beta) else zero_from, t_order + 1):
+            for kappa in combinations_with_replacement(range(rank), n):
+                counts = [0] * rank
+                for idx in kappa:
+                    counts[idx] += 1
+                yield beta, kappa, tuple(counts) + beta, prod(map(factorial, counts))
 
 
 def _times_basis(mult: tuple, coords: tuple, k: int) -> tuple:
@@ -84,8 +98,9 @@ def degree_zero_chi(ring: KRingPresentation) -> Callable[[Iterable[int]], Fracti
     Products are coordinate tuples in the basis e_0..e_r.  Each sorted
     multiset's product is one multiply by a basis class away from its
     longest prefix already formed, so walking multisets in ascending order
-    costs one product apiece; chi is the pairing against the unit e_0.  The
-    cache lives in the returned function; build one per assembly.
+    costs one product apiece; chi is the pairing against the unit e_0, so
+    two insertions give the pairing g_ij itself.  The cache lives in the
+    returned function; build one per assembly.
     """
     mult = ring.mult
     pair_unit = [row[0] for row in ring.pairing]
@@ -93,10 +108,7 @@ def degree_zero_chi(ring: KRingPresentation) -> Callable[[Iterable[int]], Fracti
 
     def chi(insertions: Iterable[int]) -> Fraction:
         key = tuple(sorted(int(i) for i in insertions))
-        if len(key) < 3:
-            raise ModuliNonexistent(
-                f"{len(key)} insertions at degree zero: no stable curve exists")
-        if key[0] < 0 or key[-1] >= ring.rank:
+        if key and (key[0] < 0 or key[-1] >= ring.rank):
             raise ValueError(
                 f"insertion index out of range 0..{ring.rank - 1}: {list(key)}")
         cut = len(key)
@@ -113,7 +125,11 @@ def degree_zero_chi(ring: KRingPresentation) -> Callable[[Iterable[int]], Fracti
 
 def beta_zero_correlator(ring: KRingPresentation, insertions: Iterable[int]) -> Fraction:
     """chi of the product of basis insertions; needs n >= 3 marked points."""
-    return degree_zero_chi(ring)(insertions)
+    key = tuple(insertions)
+    if len(key) < 3:
+        raise ModuliNonexistent(
+            f"{len(key)} insertions at degree zero: no stable curve exists")
+    return degree_zero_chi(ring)(key)
 
 
 @dataclass(frozen=True)
@@ -130,9 +146,6 @@ class CorrelatorTable:
     def empty(cls, ring: KRingPresentation, degree_rank: int,
               target_doc: dict) -> "CorrelatorTable":
         return cls(ring, degree_rank, dict(target_doc), {}, {})
-
-    def value(self, beta: DegreeVector, insertions: tuple[int, ...]) -> Fraction | None:
-        return self.entries.get((beta, tuple(sorted(insertions))))
 
     def with_entry(self, beta: DegreeVector, insertions: tuple[int, ...],
                    value: Fraction) -> "CorrelatorTable":

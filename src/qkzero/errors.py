@@ -25,7 +25,7 @@ class InvalidPresentation(QKError):
 
 
 class RingMismatch(QKError):
-    """An operation mixing classes from different ring presentations."""
+    """A correlator table or QDE solution used with a ring it was not built on."""
 
 
 class ModuliNonexistent(QKError):
@@ -51,7 +51,7 @@ class NotReducible(QKError):
 
 
 class SchemaError(QKError):
-    """Malformed JSON document for a series, ring presentation, or correlator table."""
+    """Malformed JSON document for a ring presentation or correlator table."""
 
 
 class DuplicateEntry(SchemaError):

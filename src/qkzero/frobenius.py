@@ -1,11 +1,12 @@
 """Potential, quantized metric, quantum product, and the identities they satisfy.
 
-The potential collects the classical quadratic pairing term plus every
-correlator weighted by Novikov monomials and divided by insertion
-multiplicities.  Second derivatives give the quantized metric G_ij, third
-derivatives contracted with the inverse metric give the structure constants
-of the quantum product.  Everything here is exact; each report states the
-window of orders on which its residual is certified.
+The potential collects every correlator weighted by Novikov monomials and
+divided by insertion multiplicities; the classical quadratic pairing term
+is the degree-zero two-point correlator.  Second derivatives give the
+quantized metric G_ij, third derivatives contracted with the inverse metric
+give the structure constants of the quantum product.  Everything here is
+exact; each report states the window of orders on which its residual is
+certified.
 
 Truncation bookkeeping: a potential assembled to t-order T certifies the
 metric to T-2, third derivatives and the product to T-3, and the curvature
@@ -16,14 +17,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations_with_replacement
-from math import factorial
+from typing import Iterable, Iterator
 
-from .correlators import (
-    CorrelatorTable,
-    degree_zero_chi,
-    effective_degrees,
-)
+from .correlators import CorrelatorTable, degree_zero_chi, insertion_multisets
 from .errors import IncompleteTable, RingMismatch
 from .kring import KRingPresentation
 from .series import (
@@ -63,60 +59,33 @@ class ResidualSummary:
 def assemble_potential(ring: KRingPresentation, table: CorrelatorTable,
                        t_order: int, novikov_order: int,
                        q_order: int = 0) -> Potential:
-    """Sum the classical quadratic term and all correlators the truncation
-    demands.
+    """Sum every correlator the truncation demands, the classical quadratic
+    pairing term included: it is the degree-zero two-point term, since
+    chi(e_i e_j) = g_ij.
 
     Degree-zero correlators absent from the table fall back to the Euler
     characteristic of the insertion product; positive-degree correlators
-    must be supplied, and the first missing key aborts the assembly.  The
-    potential itself never involves the descendent variable, so any q order
-    is certified; carrying one lets downstream products meet descendent
-    series without coercion.
+    must be supplied, and the first missing key aborts the assembly.  Terms
+    are integer numerators over their value's denominator times prod m_i!,
+    put over their lcm once.  The potential itself never involves the
+    descendent variable, so any q order is certified; carrying one lets
+    downstream products meet descendent series without coercion.
     """
     if table.ring != ring:
         raise RingMismatch("table was built for a different ring presentation")
-    rank = ring.rank
-    spec = SeriesSpec(rank, table.degree_rank, t_order, novikov_order, q_order)
-    acc: dict[tuple[int, ...], Fraction] = {}
+    spec = SeriesSpec(ring.rank, table.degree_rank, t_order, novikov_order, q_order)
     chi = degree_zero_chi(ring)
-
-    def bump(t_counts: tuple[int, ...], beta: tuple[int, ...], value: Fraction) -> None:
-        exp = t_counts + beta + (0,)
-        acc[exp] = acc.get(exp, Fraction(0)) + value
-
-    if t_order >= 2:
-        g = ring.pairing
-        for i in range(rank):
-            for j in range(i, rank):
-                counts = [0] * rank
-                counts[i] += 1
-                counts[j] += 1
-                value = g[i][j] if i != j else g[i][i] / 2
-                if value != 0:
-                    bump(tuple(counts), (0,) * table.degree_rank, value)
-
-    for beta in effective_degrees(table.degree_rank, novikov_order):
-        degree_zero = all(b == 0 for b in beta)
-        n_min = 3 if degree_zero else 0
-        for n in range(n_min, t_order + 1):
-            for kappa in combinations_with_replacement(range(rank), n):
-                value = table.value(beta, kappa)
-                if value is None:
-                    if degree_zero:
-                        value = chi(kappa)
-                    else:
-                        raise IncompleteTable(beta, kappa)
-                if value == 0:
-                    continue
-                counts = [0] * rank
-                for idx in kappa:
-                    counts[idx] += 1
-                weight = Fraction(1)
-                for m in counts:
-                    weight /= factorial(m)
-                bump(tuple(counts), beta, value * weight)
-
-    return Potential(ring, TruncatedSeries(spec, acc))
+    groups: dict[int, dict[tuple[int, ...], int]] = {}
+    for beta, kappa, base, weight in insertion_multisets(
+            ring.rank, table.degree_rank, t_order, novikov_order, 2):
+        value = table.entries.get((beta, kappa))
+        if value is None:
+            if any(beta):
+                raise IncompleteTable(beta, kappa)
+            value = chi(kappa)
+        if value:
+            groups.setdefault(value.denominator * weight, {})[base + (0,)] = value.numerator
+    return Potential(ring, TruncatedSeries.over_lcm(spec, groups))
 
 
 def quantized_metric(potential: Potential) -> SeriesMatrix:
@@ -175,8 +144,15 @@ def window_dict(spec: SeriesSpec) -> dict[str, int]:
     return {"t": spec.t_order, "novikov": spec.novikov_order, "q": spec.q_order}
 
 
-def residual_summary(pieces: list[tuple[dict, TruncatedSeries]],
-               window: dict[str, int]) -> ResidualSummary:
+def matrix_pieces(label: dict, m: SeriesMatrix) -> Iterator[tuple[dict, TruncatedSeries]]:
+    """Every entry of m, row by row, labelled with label plus its position."""
+    for a, row in enumerate(m.entries):
+        for b, entry in enumerate(row):
+            yield {**label, "entry": [a, b]}, entry
+
+
+def residual_summary(pieces: Iterable[tuple[dict, TruncatedSeries]],
+                     window: dict[str, int]) -> ResidualSummary:
     """Scan labeled residual series in order; report the largest coefficient.
 
     Ties keep the earliest label and smallest exponent, so reports are
@@ -223,9 +199,7 @@ def unit_residual(fd: FrobeniusData) -> ResidualSummary:
     rank = fd.ring.rank
     diff = fd.product[0] - SeriesMatrix.identity(spec3, rank)
     # The matrix of e_0 * is the transpose of product[0].
-    pieces = [({"entry": [i, j]}, diff.entries[j][i])
-              for i in range(rank) for j in range(rank)]
-    return residual_summary(pieces, window_dict(spec3))
+    return residual_summary(matrix_pieces({}, diff.transpose()), window_dict(spec3))
 
 
 def classical_limit_residual(fd: FrobeniusData) -> ResidualSummary:
@@ -284,14 +258,9 @@ def flatness_residuals(fd: FrobeniusData) -> FlatnessReport:
             # Curvature at the metric specialization z = 1/2: -z R1 + z^2 R2.
             metric = (r1.scaled(Fraction(-1, 2))
                       + r2.truncated(t_order=spec4.t_order).scaled(Fraction(1, 4)))
-            for a in range(rank):
-                for b in range(rank):
-                    r1_pieces.append(({"pair": [i, j], "entry": [a, b]},
-                                      r1.entries[a][b]))
-                    r2_pieces.append(({"pair": [i, j], "entry": [a, b]},
-                                      r2.entries[a][b]))
-                    metric_pieces.append(({"pair": [i, j], "entry": [a, b]},
-                                          metric.entries[a][b]))
+            r1_pieces.extend(matrix_pieces({"pair": [i, j]}, r1))
+            r2_pieces.extend(matrix_pieces({"pair": [i, j]}, r2))
+            metric_pieces.extend(matrix_pieces({"pair": [i, j]}, metric))
 
     lc_pieces: list[tuple[dict, TruncatedSeries]] = []
     g3 = fd.gmetric.truncated(t_order=spec3.t_order)

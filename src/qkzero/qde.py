@@ -27,12 +27,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations_with_replacement
-from math import comb, factorial, lcm, prod
+from math import comb
 
-from .correlators import CorrelatorTable, degree_zero_chi, effective_degrees
+from .correlators import CorrelatorTable, degree_zero_chi, insertion_multisets
 from .errors import IncompleteTable, RingMismatch, TruncationMismatch
-from .frobenius import FrobeniusData, ResidualSummary, residual_summary, window_dict
+from .frobenius import (
+    FrobeniusData,
+    ResidualSummary,
+    matrix_pieces,
+    residual_summary,
+    window_dict,
+)
 from .kring import KRingPresentation
 from .series import (
     SeriesMatrix,
@@ -69,9 +74,11 @@ def assemble_fundamental_solution(ring: KRingPresentation, table: CorrelatorTabl
     keys.  Degree zero needs at least one plain insertion next to the two
     distinguished slots (three points keep the moduli space alive).  At
     positive degree every key from zero insertions up to the t order must be
-    supplied; the first missing one aborts with the key attached.  Terms are
-    integer numerators over their value's denominator times prod m_i!, and
-    each entry of S takes their lcm once: no Fraction is built per term.
+    supplied; the first missing one aborts with the key attached.  The walk
+    over degrees and insertions is the potential's, with one insertion fewer
+    at degree zero; terms are integer numerators over their value's
+    denominator times prod m_i!, and each entry of S takes their lcm once
+    (TruncatedSeries.over_lcm): no Fraction is built per term.
     """
     if table.ring != ring:
         raise RingMismatch("table was built for a different ring presentation")
@@ -81,47 +88,29 @@ def assemble_fundamental_solution(ring: KRingPresentation, table: CorrelatorTabl
              for row in ring.pairing]
     chi = degree_zero_chi(ring)
     entries = table.descendent_entries
-    for beta in effective_degrees(table.degree_rank, novikov_order):
-        degree_zero = all(b == 0 for b in beta)
-        for n in range(1 if degree_zero else 0, t_order + 1):
-            if degree_zero:
-                # E(n+2; 0,...,0,d) = binom(n-1+d, d) (Lee, IMRN 1997)
-                euler = [comb(n - 1 + d, d) for d in range(q_order + 1)]
-            for kappa in combinations_with_replacement(range(rank), n):
-                counts = [0] * rank
-                for idx in kappa:
-                    counts[idx] += 1
-                weight = prod(map(factorial, counts))
-                # Within one cell the exponent (counts, beta, d) is unique.
-                base = tuple(counts) + beta
-                for i in range(rank):
-                    insertions = tuple(sorted((i,) + kappa))
-                    for j in range(rank):
-                        cell = cells[i][j]
-                        chi_value = None
-                        for d in range(q_order + 1):
-                            value, scale = entries.get((beta, insertions, (j, d))), 1
-                            if value is None:
-                                if not degree_zero:
-                                    raise IncompleteTable(beta, insertions, (j, d))
-                                if chi_value is None:
-                                    chi_value = chi(insertions + (j,))
-                                value, scale = chi_value, euler[d]
-                            if value:
-                                terms = cell.setdefault(value.denominator * weight, {})
-                                terms[base + (d,)] = value.numerator * scale
-    rows = tuple(tuple(_over_lcm(spec, cell) for cell in row) for row in cells)
+    for beta, kappa, base, weight in insertion_multisets(
+            rank, table.degree_rank, t_order, novikov_order, 1):
+        # Within one cell the exponent (counts, beta, d) is unique.
+        for i in range(rank):
+            insertions = tuple(sorted((i,) + kappa))
+            for j in range(rank):
+                cell = cells[i][j]
+                chi_value = None
+                for d in range(q_order + 1):
+                    value, scale = entries.get((beta, insertions, (j, d))), 1
+                    if value is None:
+                        if any(beta):
+                            raise IncompleteTable(beta, insertions, (j, d))
+                        if chi_value is None:
+                            chi_value = chi(insertions + (j,))
+                        # E(n+2; 0,...,0,d) = binom(n-1+d, d) (Lee, IMRN 1997)
+                        value, scale = chi_value, comb(len(kappa) - 1 + d, d)
+                    if value:
+                        terms = cell.setdefault(value.denominator * weight, {})
+                        terms[base + (d,)] = value.numerator * scale
+    rows = tuple(tuple(TruncatedSeries.over_lcm(spec, cell) for cell in row)
+                 for row in cells)
     return QDESolution(ring, SeriesMatrix(rows))
-
-
-def _over_lcm(spec: SeriesSpec, groups: dict[int, dict[tuple[int, ...], int]]
-              ) -> TruncatedSeries:
-    den = lcm(*groups)
-    nums: dict[tuple[int, ...], int] = {}
-    for group_den, terms in groups.items():
-        scale = den // group_den
-        nums.update((exp, num * scale) for exp, num in terms.items())
-    return TruncatedSeries.from_numerators(spec, nums, den)
 
 
 def _aligned_window(solution: QDESolution, fd: FrobeniusData) -> int:
@@ -145,21 +134,18 @@ def _aligned_window(solution: QDESolution, fd: FrobeniusData) -> int:
 def qde_residual(solution: QDESolution, fd: FrobeniusData) -> list[ResidualSummary]:
     """dS/dt_k minus 1/(1-q) times (e_k *) S, one summary per k."""
     window = _aligned_window(solution, fd)
-    rank = solution.ring.rank
     # Truncate the product, not S: a copy of S would live through the loop.
     order = min(solution.spec.t_order, fd.product[0].spec.t_order)
     s = solution.matrix.truncated(t_order=order)
-    spec_w = s.spec.truncated(t_order=window)
     summaries = []
-    for k in range(rank):
-        ds = solution.partials[k].truncated(t_order=window)
+    for k, partial in enumerate(solution.partials):
+        ds = partial.truncated(t_order=window)
         product = (fd.product[k].truncated(t_order=order) * s).truncated(t_order=window)
-        pieces = [
-            ({"k": k, "entry": [i, j]},
-             ds.entries[i][j] - product.entries[i][j].over_one_minus_q())
-            for i in range(rank) for j in range(rank)
-        ]
-        summaries.append(residual_summary(pieces, window_dict(spec_w)))
+        summed = SeriesMatrix(tuple(tuple(e.over_one_minus_q() for e in row)
+                                    for row in product.entries))
+        del product  # only its q-sums are read; kept, it adds a copy of S to the peak
+        summaries.append(residual_summary(matrix_pieces({"k": k}, ds - summed),
+                                          window_dict(ds.spec)))
     return summaries
 
 
@@ -177,12 +163,8 @@ def gwdvv_residuals(solution: QDESolution, fd: FrobeniusData
     for j in range(rank):
         for k in range(j + 1, rank):
             residual = a_trunc[j] * partials[k] - a_trunc[k] * partials[j]
-            pieces = [
-                ({"pair": [j, k], "entry": [a, b]}, residual.entries[a][b])
-                for a in range(rank) for b in range(rank)
-            ]
-            summaries.append(
-                ((j, k), residual_summary(pieces, window_dict(residual.spec))))
+            summaries.append(((j, k), residual_summary(
+                matrix_pieces({"pair": [j, k]}, residual), window_dict(residual.spec))))
     return summaries
 
 

@@ -164,20 +164,30 @@ class TruncatedSeries:
     def __new__(cls, spec: SeriesSpec,
                 coeffs: Mapping[Exponent, RationalLike]) -> "TruncatedSeries":
         nvars, admits = spec.nvars, spec.admits
-        terms: dict[Exponent, RationalLike] = {}
+        groups: dict[int, dict[Exponent, int]] = {}
         for exp, value in coeffs.items():
             exp = tuple(exp)
             if len(exp) != nvars:
                 raise ValueError(f"exponent {exp} has wrong length for {spec.vars}")
             if min(exp) < 0:
                 raise ValueError(f"negative exponent in {exp}")
-            if not admits(exp):
-                continue
-            if _exact(value):
-                terms[exp] = value
-        den = lcm(*(v.denominator for v in terms.values()))
-        return cls.from_numerators(spec, {exp: v.numerator * (den // v.denominator)
-                                          for exp, v in terms.items()}, den)
+            if admits(exp) and _exact(value):
+                groups.setdefault(value.denominator, {})[exp] = value.numerator
+        return cls.over_lcm(spec, groups)
+
+    @classmethod
+    def over_lcm(cls, spec: SeriesSpec,
+                 groups: Mapping[int, Mapping[Exponent, int]]) -> "TruncatedSeries":
+        """The series whose numerators are kept per denominator: each group
+        {exp: num} stands for num / den at the key den.  Every group is
+        rescaled to the lcm of the keys once, then reduced by
+        from_numerators, which trusts the numerators and exponents given."""
+        den = lcm(*groups)
+        nums: dict[Exponent, int] = {}
+        for group_den, terms in groups.items():
+            scale = den // group_den
+            nums.update((exp, num * scale) for exp, num in terms.items())
+        return cls.from_numerators(spec, nums, den)
 
     @classmethod
     def from_numerators(cls, spec: SeriesSpec, nums: dict[Exponent, int],

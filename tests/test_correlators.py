@@ -102,7 +102,7 @@ def test_load_and_round_trip():
     )
     table = load_correlators(doc)
     assert table.ring == P1
-    assert table.value((1,), (1, 1)) == 1
+    assert table.entries.get(((1,), (1, 1))) == 1
     assert table.descendent_entries[((1,), (1,), (0, 2))] == Fraction(3, 2)
     again = load_correlators(json.loads(json.dumps(table.to_json_dict())))
     assert again.entries == table.entries
@@ -173,7 +173,7 @@ def test_load_rejects_missing_field():
 
 def test_missing_entry_is_unknown_not_zero():
     table = CorrelatorTable.empty(P1, 1, {"type": "projective", "n": 1})
-    assert table.value((1,), (1, 1)) is None
+    assert table.entries.get(((1,), (1, 1))) is None
 
 
 def test_consistency_check_accepts_unit_consistent_table():

@@ -92,6 +92,19 @@ def test_projective_line_potential_low_coefficients():
     assert p.series.coefficient({"t0": 1, "t1": 2}) == 0
 
 
+def test_two_point_term_is_the_pairing():
+    # chi(e_i e_j) = g_ij, so the degree-zero two-point terms are the
+    # classical quadratic term 1/2 g(t, t), and no term has lower degree.
+    table = empty_table(P2_LINE_BUNDLES)
+    chi = correlators.degree_zero_chi(P2_LINE_BUNDLES)
+    assert [[chi((i, j)) for j in range(3)] for i in range(3)] == [
+        [1, 0, 0], [0, 0, 1], [0, 1, 3]]
+    quadratic = assemble_potential(P2_LINE_BUNDLES, table, 2, 0).series
+    assert quadratic.coeffs == {(2, 0, 0, 0): Fraction(1, 2), (0, 1, 1, 0): 1,
+                                (0, 0, 2, 0): Fraction(3, 2)}
+    assert assemble_potential(P2_LINE_BUNDLES, table, 1, 0).series.is_zero()
+
+
 def test_projective_line_metric_matches_direct_euler_characteristics():
     p = assemble_potential(P1, empty_table(P1, 1, {"type": "projective", "n": 1}),
                            6, 0)

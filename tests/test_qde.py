@@ -30,6 +30,7 @@ from qkzero import (
     point_kring,
     projective_space_kring,
     qde_residual,
+    quantized_metric,
     ring_from_target,
 )
 
@@ -37,6 +38,7 @@ from oracles import (
     degree_zero_descendent_table,
     geometric_q,
     integrate_point_qde,
+    p2_line_bundle_kring,
     zero_matrix,
 )
 
@@ -193,6 +195,33 @@ def test_degree_zero_marked_values_match_product_splitting_oracle(
     for i in range(ring.rank):
         for j in range(ring.rank):
             assert computed.matrix.entries[i][j] == expected.matrix.entries[i][j], (i, j)
+
+
+@pytest.mark.parametrize("ring,t_order", [
+    (projective_space_kring(1), 5),
+    (projective_space_kring(2), 4),
+    (projective_space_kring(3), 3),
+    (p2_line_bundle_kring(), 4),
+])
+def test_solution_at_q0_is_the_quantized_metric(ring, t_order):
+    # At q^0 the marked slot is a plain insertion, so S_ij sums
+    # <e_i, t, ..., t, e_j>/n!, the Hessian of the potential: the two
+    # assemblies must walk the same degrees and insertion multisets.
+    table = CorrelatorTable.empty(ring, 1, {"type": "custom", "ring": ring.to_json_dict()})
+    solution = assemble_fundamental_solution(ring, table, t_order, 0, 2)
+    metric = quantized_metric(assemble_potential(ring, table, t_order + 2, 0))
+    assert solution.matrix.truncated(q_order=0) == metric
+
+
+def test_plain_entry_alone_breaks_the_solution_at_q0():
+    # chi(e1 e1 e2 e2) = chi(a^6) = 0 on P^2; a plain entry that disagrees,
+    # with no matching marked entry, reaches the metric but not S.
+    p2 = projective_space_kring(2)
+    table = CorrelatorTable.empty(p2, 1, {"type": "projective", "n": 2}).with_entry(
+        (0,), (1, 1, 2, 2), Fraction(3, 7))
+    solution = assemble_fundamental_solution(p2, table, 4, 0, 2)
+    metric = quantized_metric(assemble_potential(p2, table, 6, 0))
+    assert solution.matrix.truncated(q_order=0) != metric
 
 
 def test_mismatched_descendent_orders_rejected():

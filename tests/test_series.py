@@ -508,6 +508,14 @@ def test_from_numerators_reduces_and_checks_the_denominator():
             TruncatedSeries.from_numerators(spec, {(0, 0): 6}, den)
 
 
+def test_over_lcm_rescales_each_denominator_group_once():
+    spec = SeriesSpec(1, 0, 3, 0, 0)
+    e, f = (1, 0), (2, 0)
+    x = TruncatedSeries.over_lcm(spec, {4: {e: 2}, 6: {f: 3}})
+    assert (x.den, x.nums) == (2, {e: 1, f: 1})
+    assert TruncatedSeries.over_lcm(spec, {}) == TruncatedSeries.zero(spec)
+
+
 def test_truncating_to_the_same_orders_returns_the_series_itself():
     a = exp_series(SPEC1, 4)
     assert a.truncated() is a
