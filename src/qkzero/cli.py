@@ -33,7 +33,6 @@ from .frobenius import (
     unit_residual,
     wdvv_residual,
 )
-from .kring import KRingPresentation
 from .qde import (
     assemble_fundamental_solution,
     gwdvv_residuals,
@@ -50,12 +49,14 @@ _INDEX_PART_RE = re.compile(r"-?[0-9]+")
 _DIMENSION_RE = re.compile(r"[0-9]+")
 
 
-def validate_orders(args: argparse.Namespace) -> None:
-    """Orders a potential is assembled from: none negative, t order >= 3."""
-    if min(args.t_order, args.novikov_order, args.desc_order) < 0:
-        raise ValueError("orders must be non-negative")
-    if args.t_order < 3:
-        raise ValueError("potential assembly needs t order >= 3")
+def _at_least(least: int):
+    """argparse type for an order: an integer no smaller than least."""
+    def order(text: str) -> int:
+        value = int(text)
+        if value < least:
+            raise argparse.ArgumentTypeError(f"must be an integer >= {least}")
+        return value
+    return order
 
 
 def _emit(args: argparse.Namespace, doc: dict, summary: str) -> None:
@@ -104,22 +105,19 @@ def parse_target(text: str) -> dict:
     raise ValueError(f"unknown target {text!r}")
 
 
-def _resolve_table(args: argparse.Namespace) -> tuple[KRingPresentation, CorrelatorTable]:
+def _resolve_table(args: argparse.Namespace) -> CorrelatorTable:
     """Table from --input, or an empty table for the named target."""
     if args.input_path:
         table = load_correlators(_read_json(args.input_path))
-        if args.target is not None:
-            named = ring_from_target(parse_target(args.target))
-            if named != table.ring:
-                raise ValueError(
-                    "--target disagrees with the ring of the input table")
-        return table.ring, table
+        if (args.target is not None
+                and ring_from_target(parse_target(args.target)) != table.ring):
+            raise ValueError("--target disagrees with the ring of the input table")
+        return table
     if args.target is None:
         raise ValueError("need --target or --input")
     target_doc = parse_target(args.target)
-    ring = ring_from_target(target_doc)
-    degree_rank = 0 if target_doc["type"] == "point" else 1
-    return ring, CorrelatorTable.empty(ring, degree_rank, target_doc)
+    return CorrelatorTable.empty(ring_from_target(target_doc),
+                                 0 if target_doc["type"] == "point" else 1, target_doc)
 
 
 def cmd_descendent(args: argparse.Namespace) -> int:
@@ -128,9 +126,7 @@ def cmd_descendent(args: argparse.Namespace) -> int:
         if not isinstance(batch, list) or not all(
                 isinstance(idx, list) and all(type(d) is int for d in idx)
                 for idx in batch):
-            print("batch file must be a JSON array of integer arrays",
-                  file=sys.stderr)
-            return EXIT_BAD_INPUT
+            raise ValueError("batch file must be a JSON array of integer arrays")
         any_irreducible = False
         lines = []
         for idx in batch:
@@ -145,8 +141,7 @@ def cmd_descendent(args: argparse.Namespace) -> int:
                f"evaluated {len(batch)} descendent indices")
         return EXIT_NOT_REDUCIBLE if any_irreducible else EXIT_OK
     if args.index is None:
-        print("give an index like 2,3,0,1 or --input batch.json", file=sys.stderr)
-        return EXIT_BAD_INPUT
+        raise ValueError("give an index like 2,3,0,1 or --input batch.json")
     exponents = _parse_index(args.index)
     try:
         value = descendent_euler(exponents)
@@ -158,9 +153,7 @@ def cmd_descendent(args: argparse.Namespace) -> int:
 
 
 def cmd_potential(args: argparse.Namespace) -> int:
-    validate_orders(args)
-    ring, table = _resolve_table(args)
-    potential = assemble_potential(ring, table, args.t_order,
+    potential = assemble_potential(_resolve_table(args), args.t_order,
                                    args.novikov_order)
     _emit(args, potential.series.to_json_dict(),
           f"potential assembled at t order {args.t_order}, "
@@ -169,9 +162,7 @@ def cmd_potential(args: argparse.Namespace) -> int:
 
 
 def cmd_frobenius_check(args: argparse.Namespace) -> int:
-    validate_orders(args)
-    ring, table = _resolve_table(args)
-    potential = assemble_potential(ring, table, args.t_order,
+    potential = assemble_potential(_resolve_table(args), args.t_order,
                                    args.novikov_order)
     fd = build_frobenius_data(potential)
     wdvv = wdvv_residual(fd)
@@ -211,15 +202,14 @@ def cmd_frobenius_check(args: argparse.Namespace) -> int:
 
 
 def cmd_qde_check(args: argparse.Namespace) -> int:
-    validate_orders(args)
-    ring, table = _resolve_table(args)
+    table = _resolve_table(args)
     # Potential three orders higher so the product is certified on the
     # same t window as the derivative of the solution.
-    potential = assemble_potential(ring, table, args.t_order + 3,
+    potential = assemble_potential(table, args.t_order + 3,
                                    args.novikov_order,
                                    q_order=args.desc_order)
     fd = build_frobenius_data(potential)
-    solution = assemble_fundamental_solution(ring, table, args.t_order,
+    solution = assemble_fundamental_solution(table, args.t_order,
                                              args.novikov_order,
                                              args.desc_order)
     residuals = qde_residual(solution, fd)
@@ -263,46 +253,50 @@ def cmd_kring_info(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+# Every flag a subcommand may declare; each declares only those it reads.
+_FLAGS = {
+    "--target": {"help": "point | projective:N | custom:ring.json"},
+    "--t-order": {"type": _at_least(3), "default": 6,
+                  "help": "truncation order in the deformation variables"},
+    "--q-order": {"type": _at_least(0), "default": 0, "dest": "novikov_order",
+                  "help": "truncation order in the Novikov variables"},
+    "--desc-order": {"type": _at_least(0), "default": 0,
+                     "help": "truncation order in the descendent variable q"},
+    "--input": {"dest": "input_path", "help": "input JSON document"},
+    "--output": {"dest": "output_path",
+                 "help": "write the JSON report here instead of stdout"},
+}
+_ASSEMBLY_FLAGS = ("--target", "--input", "--t-order", "--q-order", "--output")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qkzero",
         description="Exact genus-zero quantum K-theory calculator.")
-    shared = argparse.ArgumentParser(add_help=False)
-    shared.add_argument("--target",
-                        help="point | projective:N | custom:ring.json")
-    shared.add_argument("--t-order", type=int, default=6,
-                        help="truncation order in the deformation variables")
-    shared.add_argument("--q-order", type=int, default=0, dest="novikov_order",
-                        help="truncation order in the Novikov variables")
-    shared.add_argument("--desc-order", type=int, default=0,
-                        help="truncation order in the descendent variable q")
-    shared.add_argument("--input", dest="input_path",
-                        help="input JSON document")
-    shared.add_argument("--output", dest="output_path",
-                        help="write the JSON report here instead of stdout")
-
     sub = parser.add_subparsers(dest="command", required=True)
-    p_desc = sub.add_parser("descendent", parents=[shared],
-                            help="evaluate descendent Euler characteristics")
-    p_desc.add_argument("index", nargs="?",
-                        help="comma-separated cotangent powers, e.g. 2,3,0,1")
-    p_desc.set_defaults(run=cmd_descendent)
-    sub.add_parser("potential", parents=[shared],
-                   help="assemble and print the potential"
-                   ).set_defaults(run=cmd_potential)
-    sub.add_parser("frobenius-check", parents=[shared],
-                   help="verify WDVV, flatness, unit, and classical limits"
-                   ).set_defaults(run=cmd_frobenius_check)
-    sub.add_parser("qde-check", parents=[shared],
-                   help="verify the quantum differential equation"
-                   ).set_defaults(run=cmd_qde_check)
-    sub.add_parser("table-check", parents=[shared],
-                   help="check a correlator table for unit-insertion consistency"
-                   ).set_defaults(run=cmd_table_check)
-    p_kring = sub.add_parser("kring", parents=[shared],
-                             help="inspect ring presentations")
-    p_kring.add_argument("action", choices=["info"])
-    p_kring.set_defaults(run=cmd_kring_info)
+
+    def command(name, run, summary, flags) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=summary)
+        for flag in flags:
+            p.add_argument(flag, **_FLAGS[flag])
+        p.set_defaults(run=run)
+        return p
+
+    command("descendent", cmd_descendent,
+            "evaluate descendent Euler characteristics", ("--input", "--output")
+            ).add_argument("index", nargs="?",
+                           help="comma-separated cotangent powers, e.g. 2,3,0,1")
+    command("potential", cmd_potential, "assemble and print the potential",
+            _ASSEMBLY_FLAGS)
+    command("frobenius-check", cmd_frobenius_check,
+            "verify WDVV, flatness, unit, and classical limits", _ASSEMBLY_FLAGS)
+    command("qde-check", cmd_qde_check, "verify the quantum differential equation",
+            _ASSEMBLY_FLAGS + ("--desc-order",))
+    command("table-check", cmd_table_check,
+            "check a correlator table for unit-insertion consistency",
+            ("--input", "--output"))
+    command("kring", cmd_kring_info, "inspect ring presentations",
+            ("--target", "--output")).add_argument("action", choices=["info"])
     return parser
 
 

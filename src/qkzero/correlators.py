@@ -40,15 +40,45 @@ PlainKey = tuple[DegreeVector, tuple[int, ...]]
 MarkedKey = tuple[DegreeVector, tuple[int, ...], tuple[int, int]]
 
 
-def validate_degree(beta: object, degree_rank: int) -> DegreeVector:
+def table_key(rank: int, degree_rank: int, beta: object, insertions: object,
+              marked: tuple[object, object] | None = None) -> PlainKey | MarkedKey:
+    """The key of one table entry, once it is known to be well formed: an
+    effective degree vector of length degree_rank, integer insertions in
+    0..rank-1 (sorted into a multiset), an optional marked (class, power)
+    with the class in range and the power non-negative, and at degree zero
+    at least three points, the marked one included."""
+    # type() rather than isinstance(): JSON true and false load as bool, an
+    # int subclass, and are neither degrees nor class indices.
     if not isinstance(beta, (list, tuple)) or any(type(b) is not int for b in beta):
         raise SchemaError(f"degree vector {beta!r} must be a list of integers")
-    vec = tuple(beta)
-    if len(vec) != degree_rank:
-        raise SchemaError(f"degree vector {list(vec)} has length != {degree_rank}")
-    if any(b < 0 for b in vec):
-        raise IneffectiveDegree(f"degree vector {list(vec)} has a negative component")
-    return vec
+    if len(beta) != degree_rank:
+        raise SchemaError(f"degree vector {list(beta)} has length != {degree_rank}")
+    if any(b < 0 for b in beta):
+        raise IneffectiveDegree(f"degree vector {list(beta)} has a negative component")
+    if not isinstance(insertions, (list, tuple)) or any(type(i) is not int for i in insertions):
+        raise SchemaError(f"insertions must be a list of integers, got {insertions!r}")
+    if any(i < 0 or i >= rank for i in insertions):
+        raise SchemaError(f"insertion index out of range 0..{rank - 1}: {insertions!r}")
+    key = (tuple(beta), tuple(sorted(insertions)))
+    points = len(insertions)
+    if marked is not None:
+        cls_idx, power = marked
+        if type(cls_idx) is not int or cls_idx < 0 or cls_idx >= rank:
+            raise SchemaError(f"marked class out of range: {cls_idx!r}")
+        if type(power) is not int or power < 0:
+            raise SchemaError(f"marked power must be a non-negative integer: {power!r}")
+        key += ((cls_idx, power),)
+        points += 1
+    if not any(beta) and points < 3:
+        raise SchemaError(f"degree-zero entry with {points} points: moduli space is empty")
+    return key
+
+
+def _exact_value(value: object) -> Fraction:
+    """An int or Fraction as a Fraction; floats and bools are not exact data."""
+    if type(value) not in (int, Fraction):
+        raise SchemaError(f"correlator value must be an int or Fraction, got {value!r}")
+    return Fraction(value)
 
 
 def effective_degrees(degree_rank: int, bound: int) -> Iterator[DegreeVector]:
@@ -149,15 +179,14 @@ class CorrelatorTable:
 
     def with_entry(self, beta: DegreeVector, insertions: tuple[int, ...],
                    value: Fraction) -> "CorrelatorTable":
-        entries = dict(self.entries)
-        entries[(beta, tuple(sorted(insertions)))] = Fraction(value)
-        return replace(self, entries=entries)
+        key = table_key(self.ring.rank, self.degree_rank, beta, insertions)
+        return replace(self, entries={**self.entries, key: _exact_value(value)})
 
     def with_descendent_entry(self, beta: DegreeVector, insertions: tuple[int, ...],
                               marked: tuple[int, int], value: Fraction) -> "CorrelatorTable":
-        dentries = dict(self.descendent_entries)
-        dentries[(beta, tuple(sorted(insertions)), marked)] = Fraction(value)
-        return replace(self, descendent_entries=dentries)
+        key = table_key(self.ring.rank, self.degree_rank, beta, insertions, marked)
+        return replace(self, descendent_entries={**self.descendent_entries,
+                                                 key: _exact_value(value)})
 
     def to_json_dict(self) -> dict:
         plain = [
@@ -196,16 +225,6 @@ def ring_from_target(target_doc: object) -> KRingPresentation:
     raise SchemaError(f"unknown target type {kind!r}")
 
 
-def _parse_insertions(raw: object, rank: int) -> tuple[int, ...]:
-    # type() rather than isinstance(): JSON true and false load as bool, an
-    # int subclass, and are not class indices.
-    if not isinstance(raw, list) or not all(type(i) is int for i in raw):
-        raise SchemaError(f"insertions must be a list of integers, got {raw!r}")
-    if any(i < 0 or i >= rank for i in raw):
-        raise SchemaError(f"insertion index out of range 0..{rank - 1}: {raw!r}")
-    return tuple(sorted(raw))
-
-
 def load_correlators(doc: object) -> CorrelatorTable:
     if not isinstance(doc, dict):
         raise SchemaError("correlator document must be an object")
@@ -225,12 +244,7 @@ def load_correlators(doc: object) -> CorrelatorTable:
     for item in doc["correlators"]:
         if not isinstance(item, dict) or set(item) != {"beta", "insertions", "value"}:
             raise SchemaError(f"malformed correlator entry: {item!r}")
-        beta = validate_degree(item["beta"], degree_rank)
-        ins = _parse_insertions(item["insertions"], ring.rank)
-        if all(b == 0 for b in beta) and len(ins) < 3:
-            raise SchemaError(
-                f"degree-zero entry with {len(ins)} insertions: moduli space is empty")
-        key = (beta, ins)
+        key = table_key(ring.rank, degree_rank, item["beta"], item["insertions"])
         if key in entries:
             raise DuplicateEntry(f"duplicate correlator key {key}")
         entries[key] = parse_rational(item["value"])
@@ -239,20 +253,11 @@ def load_correlators(doc: object) -> CorrelatorTable:
     for item in doc["descendent_correlators"]:
         if not isinstance(item, dict) or set(item) != {"beta", "insertions", "marked", "value"}:
             raise SchemaError(f"malformed descendent entry: {item!r}")
-        beta = validate_degree(item["beta"], degree_rank)
-        ins = _parse_insertions(item["insertions"], ring.rank)
-        marked_doc = item["marked"]
-        if not isinstance(marked_doc, dict) or set(marked_doc) != {"class", "power"}:
+        marked = item["marked"]
+        if not isinstance(marked, dict) or set(marked) != {"class", "power"}:
             raise SchemaError(f"marked insertion must give 'class' and 'power': {item!r}")
-        cls_idx, power = marked_doc["class"], marked_doc["power"]
-        if type(cls_idx) is not int or cls_idx < 0 or cls_idx >= ring.rank:
-            raise SchemaError(f"marked class out of range: {cls_idx!r}")
-        if type(power) is not int or power < 0:
-            raise SchemaError(f"marked power must be a non-negative integer: {power!r}")
-        if all(b == 0 for b in beta) and len(ins) + 1 < 3:
-            raise SchemaError(
-                "degree-zero descendent entry with fewer than three total insertions")
-        key = (beta, ins, (cls_idx, power))
+        key = table_key(ring.rank, degree_rank, item["beta"], item["insertions"],
+                        (marked["class"], marked["power"]))
         if key in descendent_entries:
             raise DuplicateEntry(f"duplicate descendent key {key}")
         descendent_entries[key] = parse_rational(item["value"])

@@ -25,7 +25,7 @@ class InvalidPresentation(QKError):
 
 
 class RingMismatch(QKError):
-    """A correlator table or QDE solution used with a ring it was not built on."""
+    """A QDE solution checked against product data built on a different ring."""
 
 
 class ModuliNonexistent(QKError):

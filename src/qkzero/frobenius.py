@@ -20,7 +20,7 @@ from fractions import Fraction
 from typing import Iterable, Iterator
 
 from .correlators import CorrelatorTable, degree_zero_chi, insertion_multisets
-from .errors import IncompleteTable, RingMismatch
+from .errors import IncompleteTable
 from .kring import KRingPresentation
 from .series import (
     SeriesMatrix,
@@ -56,8 +56,7 @@ class ResidualSummary:
         }
 
 
-def assemble_potential(ring: KRingPresentation, table: CorrelatorTable,
-                       t_order: int, novikov_order: int,
+def assemble_potential(table: CorrelatorTable, t_order: int, novikov_order: int,
                        q_order: int = 0) -> Potential:
     """Sum every correlator the truncation demands, the classical quadratic
     pairing term included: it is the degree-zero two-point term, since
@@ -71,8 +70,7 @@ def assemble_potential(ring: KRingPresentation, table: CorrelatorTable,
     descendent variable, so any q order is certified; carrying one lets
     downstream products meet descendent series without coercion.
     """
-    if table.ring != ring:
-        raise RingMismatch("table was built for a different ring presentation")
+    ring = table.ring
     spec = SeriesSpec(ring.rank, table.degree_rank, t_order, novikov_order, q_order)
     chi = degree_zero_chi(ring)
     groups: dict[int, dict[tuple[int, ...], int]] = {}

@@ -62,9 +62,8 @@ class QDESolution:
         return tuple(self.matrix.derivative(f"t{k}") for k in range(self.ring.rank))
 
 
-def assemble_fundamental_solution(ring: KRingPresentation, table: CorrelatorTable,
-                                  t_order: int, novikov_order: int,
-                                  q_order: int) -> QDESolution:
+def assemble_fundamental_solution(table: CorrelatorTable, t_order: int,
+                                  novikov_order: int, q_order: int) -> QDESolution:
     """Build S entry by entry from marked descendent correlators.
 
     A degree-zero key missing from the table is computed: at degree zero the
@@ -80,8 +79,7 @@ def assemble_fundamental_solution(ring: KRingPresentation, table: CorrelatorTabl
     denominator times prod m_i!, and each entry of S takes their lcm once
     (TruncatedSeries.over_lcm): no Fraction is built per term.
     """
-    if table.ring != ring:
-        raise RingMismatch("table was built for a different ring presentation")
+    ring = table.ring
     rank = ring.rank
     spec = SeriesSpec(rank, table.degree_rank, t_order, novikov_order, q_order)
     cells = [[{g.denominator: {(0,) * spec.nvars: g.numerator}} if g else {} for g in row]

@@ -269,14 +269,18 @@ class TruncatedSeries:
         if self.spec != other.spec:
             raise IncompatibleSeries(f"{self.spec} vs {other.spec}")
 
-    def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
+    def __sub__(self, other: "TruncatedSeries") -> "TruncatedSeries":
+        return self.__add__(other, -1)
+
+    # self + sign * other in one merge: a difference never copies other.
+    def __add__(self, other: "TruncatedSeries", sign: int = 1) -> "TruncatedSeries":
         self._require_same_spec(other)
         if not other.nums:
             return self
         if not self.nums:
-            return other
+            return other if sign == 1 else -other
         den = lcm(self.den, other.den)
-        scale, other_scale = den // self.den, den // other.den
+        scale, other_scale = den // self.den, sign * (den // other.den)
         out = {exp: num * scale for exp, num in self.nums.items()}
         get = out.get
         for exp, num in other.nums.items():
@@ -290,9 +294,6 @@ class TruncatedSeries:
     def __neg__(self) -> "TruncatedSeries":
         return TruncatedSeries.from_numerators(
             self.spec, {exp: -num for exp, num in self.nums.items()}, self.den)
-
-    def __sub__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        return self + (-other)
 
     def __mul__(self, other: "TruncatedSeries | RationalLike") -> "TruncatedSeries":
         """Product truncated to the common window.
@@ -476,15 +477,15 @@ class SeriesMatrix:
             tuple(TruncatedSeries.constant(spec, x) for x in row) for row in rows
         ))
 
-    def __add__(self, other: "SeriesMatrix") -> "SeriesMatrix":
+    def __add__(self, other: "SeriesMatrix", sign: int = 1) -> "SeriesMatrix":
         self._check(other)
         return SeriesMatrix(tuple(
-            tuple(a + b for a, b in zip(ra, rb))
+            tuple(a.__add__(b, sign) for a, b in zip(ra, rb))
             for ra, rb in zip(self.entries, other.entries)
         ))
 
     def __sub__(self, other: "SeriesMatrix") -> "SeriesMatrix":
-        return self + SeriesMatrix(tuple(tuple(-e for e in row) for row in other.entries))
+        return self.__add__(other, -1)
 
     def __mul__(self, other: "SeriesMatrix") -> "SeriesMatrix":
         self._check(other)

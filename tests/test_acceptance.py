@@ -107,7 +107,7 @@ def test_criterion_3_confluence():
 def test_criterion_4_point_frobenius():
     ring = point_kring()
     table = CorrelatorTable.empty(ring, 0, {"type": "point"})
-    potential = assemble_potential(ring, table, 10, 0)
+    potential = assemble_potential(table, 10, 0)
     fd = build_frobenius_data(potential)
 
     metric = fd.gmetric.entries[0][0]
@@ -133,7 +133,7 @@ def test_criterion_5_projective_classical():
                 assert ring.pairing[i][j] == expected
 
         table = CorrelatorTable.empty(ring, 1, {"type": "projective", "n": nproj})
-        potential = assemble_potential(ring, table, 6, 0)
+        potential = assemble_potential(table, 6, 0)
         fd = build_frobenius_data(potential)
         spec3 = fd.product[0].spec
         for i in range(ring.rank):
@@ -187,9 +187,9 @@ def test_criterion_6_inverse_routes():
 def test_criterion_7_point_qde():
     ring = point_kring()
     table = CorrelatorTable.empty(ring, 0, {"type": "point"})
-    potential = assemble_potential(ring, table, 11, 0, q_order=8)
+    potential = assemble_potential(table, 11, 0, q_order=8)
     fd = build_frobenius_data(potential)
-    solution = assemble_fundamental_solution(ring, table, 8, 0, 8)
+    solution = assemble_fundamental_solution(table, 8, 0, 8)
 
     summaries = qde_residual(solution, fd)
     assert len(summaries) == 1
@@ -210,7 +210,7 @@ def test_criterion_8_negative_controls(tmp_path, capsys):
     ring = projective_space_kring(1)
     table = CorrelatorTable.empty(ring, 1, {"type": "projective", "n": 1})
     table = table.with_entry((0,), (0, 1, 1, 1), Fraction(1, 5))
-    potential = assemble_potential(ring, table, 7, 0)
+    potential = assemble_potential(table, 7, 0)
     fd = build_frobenius_data(potential)
     summary = wdvv_residual(fd)
     assert not summary.is_zero

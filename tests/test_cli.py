@@ -6,6 +6,7 @@ simple; golden files pin the exact bytes of representative reports.
 
 import json
 import os
+import shlex
 import subprocess
 import sys
 from fractions import Fraction
@@ -452,3 +453,54 @@ def test_descendent_negative_power_exits_one(args, message, capsys):
     assert code == 1
     assert out == ""
     assert err.endswith(message)
+
+
+POINT_TABLE = str(DATA / "qde_point_perturbed_input.json")
+
+
+@pytest.mark.parametrize("args", [
+    ["table-check", "--input", POINT_TABLE, "--target", "point"],
+    ["table-check", "--input", POINT_TABLE, "--target", "projective:9"],
+    ["descendent", "2,3,0,1", "--t-order", "5"],
+    ["descendent", "2,3,0,1", "--desc-order", "2"],
+    ["descendent", "--target", "nowhere", "--desc-order", "-5", "2,3,0,1"],
+    ["kring", "info", "--target", "point", "--input", POINT_TABLE],
+    ["kring", "info", "--target", "point", "--input", "/nonexistent"],
+    ["potential", "--target", "point", "--desc-order", "2"],
+    ["frobenius-check", "--target", "point", "--desc-order", "2"],
+])
+def test_subcommands_reject_flags_they_do_not_read(args, capsys):
+    code, out, err = run_cli(args, capsys)
+    assert code == 1
+    assert out == ""
+    assert "unrecognized arguments" in err
+
+
+@pytest.mark.parametrize("args", [
+    ["potential", "--target", "point", "--q-order", "-1"],
+    ["qde-check", "--target", "point", "--desc-order", "-1"],
+    ["qde-check", "--target", "point", "--t-order", "-1"],
+])
+def test_negative_orders_exit_one(args, capsys):
+    code, out, err = run_cli(args, capsys)
+    assert code == 1
+    assert out == ""
+    assert "must be an integer >= " in err
+
+
+def _readme_commands():
+    """The qkzero lines of the README's Command line block that need no
+    input file."""
+    readme_path = Path(__file__).resolve().parent.parent / "README.md"
+    readme = readme_path.read_text(encoding="utf-8")
+    block = readme.split("## Command line", 1)[1].split("```sh", 1)[1]
+    lines = block.split("```", 1)[0].splitlines()
+    return [shlex.split(line)[1:] for line in lines
+            if line.startswith("qkzero ") and "--input" not in line]
+
+
+@pytest.mark.parametrize("args", _readme_commands(), ids=" ".join)
+def test_readme_command_line_examples_exit_zero(args, capsys):
+    code, out, _ = run_cli(args, capsys)
+    assert code == 0
+    assert out

@@ -200,3 +200,70 @@ def test_consistency_check_flags_single_perturbation():
     assert violation["insertions"] == [0, 0, 1, 1]
     assert violation["parent_insertions"] == [0, 1, 1]
     assert violation["value"] == "8/7"
+
+
+def _empty_p1():
+    return CorrelatorTable.empty(P1, 1, {"type": "projective", "n": 1})
+
+
+def test_builder_rejects_degree_zero_two_point_entry():
+    # Accepted, this would replace g_01 in the potential: the t0*t1
+    # coefficient would read 5 instead of 1.
+    with pytest.raises(SchemaError, match="moduli space is empty"):
+        _empty_p1().with_entry((0,), (0, 1), Fraction(5))
+    with pytest.raises(SchemaError, match="moduli space is empty"):
+        _empty_p1().with_descendent_entry((0,), (1,), (0, 2), Fraction(1))
+
+
+@pytest.mark.parametrize("beta,insertions,error", [
+    ((0, 0), (0, 1, 1), SchemaError),
+    ((-1,), (0, 1, 1), IneffectiveDegree),
+    ([True], (0, 1, 1), SchemaError),
+    ((1,), (0, 7), SchemaError),
+    ((1,), (-1, 0), SchemaError),
+    ((1,), (True, 1), SchemaError),
+    ((1,), 3, SchemaError),
+], ids=["beta-length", "beta-negative", "beta-bool", "index-high",
+        "index-negative", "index-bool", "insertions-int"])
+def test_builder_rejects_bad_plain_key(beta, insertions, error):
+    with pytest.raises(error):
+        _empty_p1().with_entry(beta, insertions, Fraction(1))
+
+
+@pytest.mark.parametrize("beta,insertions,marked", [
+    ((0,), (5,), (9, -1)),
+    ((0,), (5,), (0, 1)),
+    ((0,), (0, 1), (9, 1)),
+    ((0,), (0, 1), (0, -1)),
+    ((1,), (), (True, 0)),
+    ((1,), (), (0, 1.0)),
+], ids=["index-class-power", "index", "class", "power", "class-bool",
+        "power-float"])
+def test_builder_rejects_bad_marked_key(beta, insertions, marked):
+    with pytest.raises(SchemaError):
+        _empty_p1().with_descendent_entry(beta, insertions, marked, Fraction(1))
+
+
+@pytest.mark.parametrize("value", [0.1, 1.0, True, "1/2", None])
+def test_builder_rejects_inexact_values(value):
+    with pytest.raises(SchemaError, match="int or Fraction"):
+        _empty_p1().with_entry((1,), (0, 1), value)
+    with pytest.raises(SchemaError, match="int or Fraction"):
+        _empty_p1().with_descendent_entry((1,), (1,), (0, 2), value)
+
+
+def test_builder_accepts_valid_keys():
+    table = (_empty_p1()
+             .with_entry((1,), [1, 0], 2)
+             .with_entry((0,), (1, 0, 0), Fraction(-1, 3))
+             .with_entry((3,), (), Fraction(1))
+             .with_descendent_entry((0,), (1, 0), (1, 4), Fraction(1, 2))
+             .with_descendent_entry((2,), (), (0, 0), 7))
+    assert table.entries == {((1,), (0, 1)): 2, ((0,), (0, 0, 1)): Fraction(-1, 3),
+                             ((3,), ()): 1}
+    assert table.descendent_entries == {((0,), (0, 1), (1, 4)): Fraction(1, 2),
+                                        ((2,), (), (0, 0)): 7}
+    assert all(type(v) is Fraction for v in table.entries.values())
+    again = load_correlators(json.loads(json.dumps(table.to_json_dict())))
+    assert again.entries == table.entries
+    assert again.descendent_entries == table.descendent_entries

@@ -46,7 +46,7 @@ def empty_table(ring, degree_rank=0, target=None):
 
 
 def point_potential(t_order):
-    return assemble_potential(POINT, empty_table(POINT), t_order, 0)
+    return assemble_potential(empty_table(POINT), t_order, 0)
 
 
 def test_point_potential_is_exponential_without_low_terms():
@@ -82,7 +82,7 @@ def test_point_identities_vanish_exactly():
 
 
 def test_projective_line_potential_low_coefficients():
-    p = assemble_potential(P1, empty_table(P1, 1, {"type": "projective", "n": 1}),
+    p = assemble_potential(empty_table(P1, 1, {"type": "projective", "n": 1}),
                            3, 0)
     assert p.series.coefficient({"t0": 2}) == Fraction(1, 2)
     assert p.series.coefficient({"t0": 1, "t1": 1}) == 1
@@ -99,14 +99,14 @@ def test_two_point_term_is_the_pairing():
     chi = correlators.degree_zero_chi(P2_LINE_BUNDLES)
     assert [[chi((i, j)) for j in range(3)] for i in range(3)] == [
         [1, 0, 0], [0, 0, 1], [0, 1, 3]]
-    quadratic = assemble_potential(P2_LINE_BUNDLES, table, 2, 0).series
+    quadratic = assemble_potential(table, 2, 0).series
     assert quadratic.coeffs == {(2, 0, 0, 0): Fraction(1, 2), (0, 1, 1, 0): 1,
                                 (0, 0, 2, 0): Fraction(3, 2)}
-    assert assemble_potential(P2_LINE_BUNDLES, table, 1, 0).series.is_zero()
+    assert assemble_potential(table, 1, 0).series.is_zero()
 
 
 def test_projective_line_metric_matches_direct_euler_characteristics():
-    p = assemble_potential(P1, empty_table(P1, 1, {"type": "projective", "n": 1}),
+    p = assemble_potential(empty_table(P1, 1, {"type": "projective", "n": 1}),
                            6, 0)
     gm = quantized_metric(p)
     for i in range(2):
@@ -121,7 +121,7 @@ def test_projective_line_metric_matches_direct_euler_characteristics():
 
 def test_projective_line_metric_closed_form():
     # G = exp(t0) * [[1 + t1, 1], [1, 0]] entry by entry.
-    p = assemble_potential(P1, empty_table(P1, 1, {"type": "projective", "n": 1}),
+    p = assemble_potential(empty_table(P1, 1, {"type": "projective", "n": 1}),
                            6, 0)
     gm = quantized_metric(p)
     for k in range(5):
@@ -142,7 +142,7 @@ def test_projective_line_metric_closed_form():
     (P2_LINE_BUNDLES, {"type": "custom", "ring": P2_LINE_BUNDLES.to_json_dict()}),
 ])
 def test_projective_classical_identities(ring, target):
-    p = assemble_potential(ring, empty_table(ring, 1, target), 6, 0)
+    p = assemble_potential(empty_table(ring, 1, target), 6, 0)
     fd = build_frobenius_data(p)
     assert wdvv_residual(fd).is_zero
     flat = flatness_residuals(fd)
@@ -156,7 +156,7 @@ def test_classical_product_equals_structure_constants():
     for nproj in (1, 2, 3):
         ring = projective_space_kring(nproj)
         p = assemble_potential(
-            ring, empty_table(ring, 1, {"type": "projective", "n": nproj}), 6, 0)
+            empty_table(ring, 1, {"type": "projective", "n": nproj}), 6, 0)
         fd = build_frobenius_data(p)
         # With no Novikov data the product must be the constant classical table.
         for i in range(ring.rank):
@@ -186,7 +186,7 @@ def quantum_p1_table(max_degree=4, max_insertions=9):
 ], ids=["perturbed-P2", "quantum-P1"])
 def test_frobenius_data_is_one_matrix_per_class(ring, table, t_order, novikov_order):
     # Off classical data: a perturbed degree-zero entry, and quantum P^1.
-    potential = assemble_potential(ring, table, t_order, novikov_order)
+    potential = assemble_potential(table, t_order, novikov_order)
     gm = quantized_metric(potential)
     fd = build_frobenius_data(potential)
     rank = ring.rank
@@ -207,7 +207,7 @@ def test_geometric_inverse_doubles_precision_per_round(monkeypatch):
     # truncation budget.  Summing the geometric series one power of M at a
     # time would take 63 matrix products; each Newton round doubles the
     # certified total degree for two.
-    potential = assemble_potential(POINT, empty_table(POINT), 63, 0, q_order=60)
+    potential = assemble_potential(empty_table(POINT), 63, 0, q_order=60)
     gm = quantized_metric(potential)
     budget = gm.spec.budget()
     assert budget == 121
@@ -237,13 +237,13 @@ def test_build_rejects_inverse_failing_certificate(monkeypatch):
     monkeypatch.setattr(frobenius, "matrix_inverse_geometric", wrong_inverse)
     table = empty_table(P1, 1, {"type": "projective", "n": 1})
     with pytest.raises(ArithmeticError):
-        build_frobenius_data(assemble_potential(P1, table, 6, 0))
+        build_frobenius_data(assemble_potential(table, 6, 0))
 
 
 def test_positive_degree_demands_table_data():
     table = empty_table(P1, 1, {"type": "projective", "n": 1})
     with pytest.raises(IncompleteTable) as excinfo:
-        assemble_potential(P1, table, 4, 1)
+        assemble_potential(table, 4, 1)
     assert excinfo.value.beta == (1,)
 
 
@@ -252,7 +252,7 @@ def test_positive_degree_terms_flow_into_potential():
     for n in range(5):
         for kappa in combinations_with_replacement(range(2), n):
             table = table.with_entry((1,), kappa, Fraction(1))
-    p = assemble_potential(P1, table, 4, 1)
+    p = assemble_potential(table, 4, 1)
     # Q-linear, t-free term comes from the empty-insertion correlator.
     assert p.series.coefficient({"Q0": 1}) == 1
     assert p.series.coefficient({"Q0": 1, "t0": 2}) == Fraction(1, 2)
@@ -272,7 +272,7 @@ def test_potential_forms_one_class_product_per_multiset(monkeypatch):
 
     monkeypatch.setattr(correlators, "_times_basis", counted)
     p4 = projective_space_kring(4)
-    assemble_potential(p4, empty_table(p4, 1, {"type": "projective", "n": 4}), 8, 0)
+    assemble_potential(empty_table(p4, 1, {"type": "projective", "n": 4}), 8, 0)
     assert len(calls) == 1286
 
 
@@ -283,7 +283,7 @@ def test_wdvv_detects_injected_quartic():
     table = empty_table(P1, 1, {"type": "projective", "n": 1})
     perturbed_value = Fraction(0) + Fraction(1, 5)
     table = table.with_entry((0,), (0, 1, 1, 1), perturbed_value)
-    p = assemble_potential(P1, table, 7, 0)
+    p = assemble_potential(table, 7, 0)
     fd = build_frobenius_data(p)
     summary = wdvv_residual(fd)
     assert not summary.is_zero
@@ -323,7 +323,7 @@ def _sum(fd, i, j, k, l):
 
 def _classical_p1():
     return build_frobenius_data(
-        assemble_potential(P1, empty_table(P1, 1, {"type": "projective", "n": 1}),
+        assemble_potential(empty_table(P1, 1, {"type": "projective", "n": 1}),
                            6, 0))
 
 
@@ -361,7 +361,7 @@ def test_levi_civita_detects_product_not_built_from_the_metric():
     # construction, so the Levi-Civita family stays zero.
     table = empty_table(P1, 1, {"type": "projective", "n": 1}).with_entry(
         (0,), (0, 1, 1, 1), Fraction(1, 5))
-    fd = build_frobenius_data(assemble_potential(P1, table, 7, 0))
+    fd = build_frobenius_data(assemble_potential(table, 7, 0))
     assert not wdvv_residual(fd).is_zero
     assert flatness_residuals(fd).levi_civita.is_zero
     # On the classical line G = exp(t0) [[1 + t1, 1], [1, 0]].  t0 in

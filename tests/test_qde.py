@@ -49,9 +49,9 @@ M_POINT = 4
 def _point_setup(t_order=T_POINT, q_order=M_POINT):
     ring = point_kring()
     table = CorrelatorTable.empty(ring, 0, {"type": "point"})
-    potential = assemble_potential(ring, table, t_order + 3, 0, q_order=q_order)
+    potential = assemble_potential(table, t_order + 3, 0, q_order=q_order)
     fd = build_frobenius_data(potential)
-    solution = assemble_fundamental_solution(ring, table, t_order, 0, q_order)
+    solution = assemble_fundamental_solution(table, t_order, 0, q_order)
     return ring, table, fd, solution
 
 
@@ -59,9 +59,9 @@ def _projective_setup(nproj, t_order, q_order):
     ring = projective_space_kring(nproj)
     table = degree_zero_descendent_table(
         ring, {"type": "projective", "n": nproj}, t_order, q_order)
-    potential = assemble_potential(ring, table, t_order + 3, 0, q_order=q_order)
+    potential = assemble_potential(table, t_order + 3, 0, q_order=q_order)
     fd = build_frobenius_data(potential)
-    solution = assemble_fundamental_solution(ring, table, t_order, 0, q_order)
+    solution = assemble_fundamental_solution(table, t_order, 0, q_order)
     return ring, table, fd, solution
 
 
@@ -137,7 +137,7 @@ def test_perturbed_entry_footprint():
     ring, table, fd, solution = _point_setup()
     perturbed = table.with_descendent_entry(
         (), (0, 0, 0, 0), (0, 2), descendent_euler((0, 0, 0, 0, 2)) + delta)
-    bad = assemble_fundamental_solution(ring, perturbed, T_POINT, 0, M_POINT)
+    bad = assemble_fundamental_solution(perturbed, T_POINT, 0, M_POINT)
 
     # The entry enters S once, through the n = 3 insertion block.
     diff = bad.matrix.entries[0][0] - solution.matrix.entries[0][0]
@@ -172,7 +172,7 @@ def test_missing_marked_entry_reports_key():
     ring = projective_space_kring(1)
     table = CorrelatorTable.empty(ring, 1, {"type": "projective", "n": 1})
     with pytest.raises(IncompleteTable) as excinfo:
-        assemble_fundamental_solution(ring, table, 2, 1, 1)
+        assemble_fundamental_solution(table, 2, 1, 1)
     assert excinfo.value.beta == (1,)
     assert excinfo.value.insertions == (0,)
     assert excinfo.value.marked == (0, 0)
@@ -190,8 +190,8 @@ def test_degree_zero_marked_values_match_product_splitting_oracle(
     ring = ring_from_target(target)
     oracle = degree_zero_descendent_table(ring, target, t_order, q_order)
     empty = CorrelatorTable.empty(ring, 1, target)
-    computed = assemble_fundamental_solution(ring, empty, t_order, 0, q_order)
-    expected = assemble_fundamental_solution(ring, oracle, t_order, 0, q_order)
+    computed = assemble_fundamental_solution(empty, t_order, 0, q_order)
+    expected = assemble_fundamental_solution(oracle, t_order, 0, q_order)
     for i in range(ring.rank):
         for j in range(ring.rank):
             assert computed.matrix.entries[i][j] == expected.matrix.entries[i][j], (i, j)
@@ -208,8 +208,8 @@ def test_solution_at_q0_is_the_quantized_metric(ring, t_order):
     # <e_i, t, ..., t, e_j>/n!, the Hessian of the potential: the two
     # assemblies must walk the same degrees and insertion multisets.
     table = CorrelatorTable.empty(ring, 1, {"type": "custom", "ring": ring.to_json_dict()})
-    solution = assemble_fundamental_solution(ring, table, t_order, 0, 2)
-    metric = quantized_metric(assemble_potential(ring, table, t_order + 2, 0))
+    solution = assemble_fundamental_solution(table, t_order, 0, 2)
+    metric = quantized_metric(assemble_potential(table, t_order + 2, 0))
     assert solution.matrix.truncated(q_order=0) == metric
 
 
@@ -219,14 +219,14 @@ def test_plain_entry_alone_breaks_the_solution_at_q0():
     p2 = projective_space_kring(2)
     table = CorrelatorTable.empty(p2, 1, {"type": "projective", "n": 2}).with_entry(
         (0,), (1, 1, 2, 2), Fraction(3, 7))
-    solution = assemble_fundamental_solution(p2, table, 4, 0, 2)
-    metric = quantized_metric(assemble_potential(p2, table, 6, 0))
+    solution = assemble_fundamental_solution(table, 4, 0, 2)
+    metric = quantized_metric(assemble_potential(table, 6, 0))
     assert solution.matrix.truncated(q_order=0) != metric
 
 
 def test_mismatched_descendent_orders_rejected():
     ring, table, fd, _ = _point_setup()
-    shallow = assemble_fundamental_solution(ring, table, T_POINT, 0, M_POINT - 1)
+    shallow = assemble_fundamental_solution(table, T_POINT, 0, M_POINT - 1)
     with pytest.raises(TruncationMismatch):
         qde_residual(shallow, fd)
 
@@ -240,7 +240,7 @@ def test_ring_mismatch_rejected():
 
 def test_window_is_joint_certification():
     ring, table, _, solution = _point_setup()
-    shallow_potential = assemble_potential(ring, table, 4, 0, q_order=M_POINT)
+    shallow_potential = assemble_potential(table, 4, 0, q_order=M_POINT)
     shallow_fd = build_frobenius_data(shallow_potential)
     summaries = qde_residual(solution, shallow_fd)
     assert summaries[0].window == {"t": 1, "novikov": 0, "q": M_POINT}
@@ -249,7 +249,7 @@ def test_window_is_joint_certification():
 
 def test_deeper_product_is_cut_to_the_solution_window():
     ring, table, _, solution = _point_setup()
-    deep_potential = assemble_potential(ring, table, T_POINT + 5, 0, q_order=M_POINT)
+    deep_potential = assemble_potential(table, T_POINT + 5, 0, q_order=M_POINT)
     summaries = qde_residual(solution, build_frobenius_data(deep_potential))
     assert summaries[0].window == {"t": T_POINT - 1, "novikov": 0, "q": M_POINT}
     assert summaries[0].is_zero

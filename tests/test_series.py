@@ -463,8 +463,8 @@ def test_point_pipeline_builds_almost_no_fractions(monkeypatch):
     point at 60/60 run on integer numerators: no Fraction per term."""
     ring = point_kring()
     table = CorrelatorTable.empty(ring, 0, {"type": "point"})
-    potential = assemble_potential(ring, table, 63, 0, q_order=60)
-    solution = assemble_fundamental_solution(ring, table, 60, 0, 60)
+    potential = assemble_potential(table, 63, 0, q_order=60)
+    solution = assemble_fundamental_solution(table, 60, 0, 60)
     made, fd = _count_fractions(monkeypatch, lambda: build_frobenius_data(potential))
     assert made < 50
     made, residuals = _count_fractions(monkeypatch, lambda: qde_residual(solution, fd))
@@ -478,9 +478,9 @@ def test_fundamental_solution_builds_no_fraction_per_term(monkeypatch):
     ring = point_kring()
     table = CorrelatorTable.empty(ring, 0, {"type": "point"})
     made, _ = _count_fractions(
-        monkeypatch, lambda: assemble_fundamental_solution(ring, table, 60, 0, 60))
+        monkeypatch, lambda: assemble_fundamental_solution(table, 60, 0, 60))
     made_half_q, _ = _count_fractions(
-        monkeypatch, lambda: assemble_fundamental_solution(ring, table, 60, 0, 30))
+        monkeypatch, lambda: assemble_fundamental_solution(table, 60, 0, 30))
     assert made < 1000
     assert made == made_half_q
 
@@ -493,7 +493,7 @@ def test_potential_classes_keep_their_fraction_coordinates(monkeypatch):
     ring = projective_space_kring(4)
     table = CorrelatorTable.empty(ring, 0, {"type": "projective", "n": 4})
     made, potential = _count_fractions(
-        monkeypatch, lambda: assemble_potential(ring, table, 8, 0))
+        monkeypatch, lambda: assemble_potential(table, 8, 0))
     assert made < 11_000
     assert len(potential.series.nums) == 80
 
