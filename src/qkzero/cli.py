@@ -45,17 +45,17 @@ EXIT_BAD_INPUT = 1
 EXIT_NOT_REDUCIBLE = 2
 EXIT_RESIDUAL = 3
 
-_INDEX_PART_RE = re.compile(r"-?[0-9]+")
+_INTEGER_RE = re.compile(r"-?[0-9]+")
 _DIMENSION_RE = re.compile(r"[0-9]+")
 
 
 def _at_least(least: int):
-    """argparse type for an order: an integer no smaller than least."""
+    """argparse type for an order: an integer in ASCII digits, no smaller
+    than least."""
     def order(text: str) -> int:
-        value = int(text)
-        if value < least:
+        if not _INTEGER_RE.fullmatch(text) or int(text) < least:
             raise argparse.ArgumentTypeError(f"must be an integer >= {least}")
-        return value
+        return int(text)
     return order
 
 
@@ -87,7 +87,7 @@ def _parse_index(raw_index: str) -> list[int]:
     '1_0' and non-ASCII digits."""
     parts = raw_index.split(",")
     for part in parts:
-        if not _INDEX_PART_RE.fullmatch(part):
+        if not _INTEGER_RE.fullmatch(part):
             raise ValueError(f"index part {part!r} is not an integer")
     return [int(part) for part in parts]
 
@@ -304,9 +304,9 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-    except SystemExit:
-        # argparse already printed a usage message
-        return EXIT_BAD_INPUT
+    except SystemExit as exc:
+        # argparse already printed the help (status 0) or a usage message
+        return EXIT_OK if exc.code == 0 else EXIT_BAD_INPUT
 
     try:
         return args.run(args)

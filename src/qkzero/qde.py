@@ -27,7 +27,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from math import comb
 
 from .correlators import CorrelatorTable, degree_zero_chi, insertion_multisets
 from .errors import IncompleteTable, RingMismatch, TruncationMismatch
@@ -70,8 +69,9 @@ def assemble_fundamental_solution(table: CorrelatorTable, t_order: int,
     moduli space splits as curves times target, so the value is
     chi(prod of insertions * e_j) times E(n+2; 0,...,0,d), the same "table
     value if present, else compute" rule the potential applies to plain
-    keys.  Degree zero needs at least one plain insertion next to the two
-    distinguished slots (three points keep the moduli space alive).  At
+    keys; a table value wins at every power of q, also where the computed
+    one is zero.  Degree zero needs at least one plain insertion next to the
+    two distinguished slots (three points keep the moduli space alive).  At
     positive degree every key from zero insertions up to the t order must be
     supplied; the first missing one aborts with the key attached.  The walk
     over degrees and insertions is the potential's, with one insertion fewer
@@ -88,24 +88,33 @@ def assemble_fundamental_solution(table: CorrelatorTable, t_order: int,
     entries = table.descendent_entries
     for beta, kappa, base, weight in insertion_multisets(
             rank, table.degree_rank, t_order, novikov_order, 1):
+        positive, n = any(beta), len(kappa)
         # Within one cell the exponent (counts, beta, d) is unique.
         for i in range(rank):
             insertions = tuple(sorted((i,) + kappa))
             for j in range(rank):
-                cell = cells[i][j]
-                chi_value = None
+                cell, binom, chi_num, chi_terms = cells[i][j], 1, None, None
                 for d in range(q_order + 1):
-                    value, scale = entries.get((beta, insertions, (j, d))), 1
-                    if value is None:
-                        if any(beta):
-                            raise IncompleteTable(beta, insertions, (j, d))
-                        if chi_value is None:
-                            chi_value = chi(insertions + (j,))
+                    if d:
                         # E(n+2; 0,...,0,d) = binom(n-1+d, d) (Lee, IMRN 1997)
-                        value, scale = chi_value, comb(len(kappa) - 1 + d, d)
-                    if value:
-                        terms = cell.setdefault(value.denominator * weight, {})
-                        terms[base + (d,)] = value.numerator * scale
+                        binom = binom * (n - 1 + d) // d
+                    value = entries.get((beta, insertions, (j, d))) if entries else None
+                    if value is not None:
+                        if value:
+                            terms = cell.setdefault(value.denominator * weight, {})
+                            terms[base + (d,)] = value.numerator
+                        continue
+                    if positive:
+                        raise IncompleteTable(beta, insertions, (j, d))
+                    if chi_num is None:
+                        value = chi(insertions + (j,))
+                        if not (value or entries):
+                            break
+                        chi_num = value.numerator
+                        if chi_num:
+                            chi_terms = cell.setdefault(value.denominator * weight, {})
+                    if chi_num:
+                        chi_terms[base + (d,)] = chi_num * binom
     rows = tuple(tuple(TruncatedSeries.over_lcm(spec, cell) for cell in row)
                  for row in cells)
     return QDESolution(ring, SeriesMatrix(rows))

@@ -24,7 +24,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from operator import add
+from operator import mul
 from typing import Iterable, Mapping
 
 from .errors import (
@@ -217,18 +217,6 @@ class TruncatedSeries:
     def constant(cls, spec: SeriesSpec, value: RationalLike) -> "TruncatedSeries":
         return cls(spec, {(0,) * spec.nvars: value})
 
-    @classmethod
-    def one(cls, spec: SeriesSpec) -> "TruncatedSeries":
-        return cls.constant(spec, 1)
-
-    @classmethod
-    def monomial(cls, spec: SeriesSpec, powers: Mapping[str, int],
-                 value: RationalLike = 1) -> "TruncatedSeries":
-        exp = [0] * spec.nvars
-        for name, p in powers.items():
-            exp[spec.var_position(name)] += p
-        return cls(spec, {tuple(exp): value})
-
     # -- inspection --------------------------------------------------------
 
     @property
@@ -298,49 +286,58 @@ class TruncatedSeries:
     def __mul__(self, other: "TruncatedSeries | RationalLike") -> "TruncatedSeries":
         """Product truncated to the common window.
 
-        The smaller operand's numerators are grouped by degree triple, the
-        groups sorted by q degree.  Each term of the larger operand scans the
-        groups only up to its remaining q room and skips groups beyond its t
-        or Novikov room, so no out-of-window product is ever formed.  Integer
+        A one-term factor at the zero exponent scales the other operand.
+        Otherwise the smaller operand's terms are grouped by degree triple,
+        the groups sorted by q degree.  Each term of the larger operand scans
+        the groups only up to its remaining q room and skips groups beyond
+        its t or Novikov room, so no out-of-window product is ever formed.
+        Exponents are packed into one int per term, a field of
+        bit_length(budget) bits per variable; in-window sums never carry
+        between fields, so adding the ints adds the exponents.  Integer
         products accumulate over the product of the two denominators.
         """
         if isinstance(other, (Fraction, int)):
             return self.scaled(other)
         self._require_same_spec(other)
         spec = self.spec
-        small, large = self.nums, other.nums
-        if len(small) > len(large):
-            small, large = large, small
-        if not small:
-            return TruncatedSeries.zero(spec)
-        groups: dict[tuple[int, int, int], list[tuple[Exponent, int]]] = {}
-        for exp, num in small.items():
-            groups.setdefault(spec.degrees(exp), []).append((exp, num))
+        a, b = (self, other) if len(self.nums) <= len(other.nums) else (other, self)
+        if not a.nums:
+            return a
+        if len(a.nums) == 1 and a.constant_term:
+            return b.scaled(a.constant_term)
+        width = max(spec.budget(), 1).bit_length()
+        shifts = [width * i for i in range(spec.nvars)]
+        weights = [1 << s for s in shifts]
+        mask = (1 << width) - 1
+        groups = {}
+        for exp, num in a.nums.items():
+            groups.setdefault(spec.degrees(exp), []).append(
+                (sum(map(mul, exp, weights)), num))
         by_q = sorted(groups.items(), key=lambda item: item[0][2])
         t_order, n_order, q_order = spec.t_order, spec.novikov_order, spec.q_order
-        out: dict[Exponent, int] = {}
+        out = {}
         get = out.get
-        for eb, cb in large.items():
+        for eb, cb in b.nums.items():
             tb, nb, qb = spec.degrees(eb)
             t_room, n_room, q_room = t_order - tb, n_order - nb, q_order - qb
+            pb = sum(map(mul, eb, weights))
             for (td, nd, qd), terms in by_q:
                 if qd > q_room:
                     break
                 if td > t_room or nd > n_room:
                     continue
-                for ea, ca in terms:
-                    exp = tuple(map(add, ea, eb))
-                    out[exp] = get(exp, 0) + ca * cb
-        for exp in [e for e, v in out.items() if not v]:
-            del out[exp]
-        return TruncatedSeries.from_numerators(spec, out, self.den * other.den)
-
-    def __rmul__(self, other: RationalLike) -> "TruncatedSeries":
-        return self.scaled(other)
+                for pa, ca in terms:
+                    key = pa + pb
+                    out[key] = get(key, 0) + ca * cb
+        nums = {tuple([key >> s & mask for s in shifts]): num
+                for key, num in out.items() if num}
+        return TruncatedSeries.from_numerators(spec, nums, a.den * b.den)
 
     def scaled(self, value: RationalLike) -> "TruncatedSeries":
         if not _exact(value):
             return TruncatedSeries.zero(self.spec)
+        if value == 1:
+            return self
         num = value.numerator
         return TruncatedSeries.from_numerators(
             self.spec, {exp: num * v for exp, v in self.nums.items()},
@@ -387,9 +384,12 @@ class TruncatedSeries:
         spec = self.spec.truncated(t_order, novikov_order, q_order)
         if spec == self.spec:
             return self
-        admits = spec.admits
-        return TruncatedSeries.from_numerators(
-            spec, {exp: num for exp, num in self.nums.items() if admits(exp)}, self.den)
+        nt, nq = spec.num_t, spec.nvars - 1
+        t_top, n_top, q_top = spec.t_order, spec.novikov_order, spec.q_order
+        return TruncatedSeries.from_numerators(spec, {
+            exp: num for exp, num in self.nums.items()
+            if exp[nq] <= q_top and sum(exp[:nt]) <= t_top and sum(exp[nt:nq]) <= n_top
+        }, self.den)
 
     # -- serialization -----------------------------------------------------
 
@@ -470,13 +470,6 @@ class SeriesMatrix:
             for i in range(dim)
         ))
 
-    @classmethod
-    def from_rational_matrix(cls, spec: SeriesSpec,
-                             rows: Iterable[Iterable[RationalLike]]) -> "SeriesMatrix":
-        return cls(tuple(
-            tuple(TruncatedSeries.constant(spec, x) for x in row) for row in rows
-        ))
-
     def __add__(self, other: "SeriesMatrix", sign: int = 1) -> "SeriesMatrix":
         self._check(other)
         return SeriesMatrix(tuple(
@@ -544,7 +537,8 @@ def matrix_inverse_geometric(mat: SeriesMatrix) -> SeriesMatrix:
     if g_inv is None:
         raise SingularMetric("constant term of the matrix is singular")
     spec, size = mat.spec, 1
-    x = SeriesMatrix.from_rational_matrix(spec, g_inv)
+    x = SeriesMatrix(tuple(tuple(TruncatedSeries.constant(spec, v) for v in row)
+                           for row in g_inv))
     while size <= spec.budget():
         size *= 2
         g = mat.truncated(*(min(order, size - 1) for order in

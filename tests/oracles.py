@@ -172,6 +172,23 @@ def degree_zero_descendent_table(ring: KRingPresentation, target_doc: dict,
     return CorrelatorTable(ring, 1, target_doc, {}, entries)
 
 
+# -- series constructors -----------------------------------------------------
+
+
+def unit_series(spec: SeriesSpec) -> TruncatedSeries:
+    """The constant series 1."""
+    return TruncatedSeries.constant(spec, 1)
+
+
+def monomial(spec: SeriesSpec, powers: dict[str, int], value=1) -> TruncatedSeries:
+    """value times the monomial with the given powers, variables named as in
+    the spec ("t0", "Q0", "q")."""
+    exp = [0] * spec.nvars
+    for name, p in powers.items():
+        exp[spec.var_position(name)] += p
+    return TruncatedSeries(spec, {tuple(exp): value})
+
+
 # -- series product oracle ---------------------------------------------------
 
 
@@ -248,9 +265,9 @@ def reciprocal(a: TruncatedSeries) -> TruncatedSeries:
     if min(a.spec.t_order, a.spec.novikov_order, a.spec.q_order) < 0:
         raise NotInvertible("series certifies no coefficients in some group")
     inv_c = Fraction(1) / c
-    f = a.scaled(inv_c) - TruncatedSeries.one(a.spec)
-    acc = TruncatedSeries.one(a.spec)
-    power = TruncatedSeries.one(a.spec)
+    f = a.scaled(inv_c) - unit_series(a.spec)
+    acc = unit_series(a.spec)
+    power = unit_series(a.spec)
     sign = 1
     for _ in range(a.spec.budget()):
         power = power * f

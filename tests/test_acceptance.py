@@ -50,6 +50,7 @@ from oracles import (
     matrix_inverse_direct,
     riemann_roch_n4,
     sympy_wdvv_tensor,
+    unit_series,
 )
 
 
@@ -114,7 +115,7 @@ def test_criterion_4_point_frobenius():
     for n in range(9):
         assert metric.coefficient({"t0": n}) == Fraction(1, factorial(n))
 
-    one = TruncatedSeries.one(fd.product[0].spec)
+    one = unit_series(fd.product[0].spec)
     assert fd.product[0].entries[0][0] == one
 
     assert wdvv_residual(fd).is_zero

@@ -488,6 +488,24 @@ def test_negative_orders_exit_one(args, capsys):
     assert "must be an integer >= " in err
 
 
+@pytest.mark.parametrize("value", ["\u0666", "+6", "1_0", " 6", "6\n", "\uff16", "6.0"])
+@pytest.mark.parametrize("flag", ["--t-order", "--q-order", "--desc-order"])
+def test_order_flags_must_be_ascii_integers(flag, value, capsys):
+    code, out, err = run_cli(
+        ["qde-check", "--target", "point", flag, value], capsys)
+    assert code == 1
+    assert out == ""
+    assert f"argument {flag}: must be an integer >= " in err
+
+
+@pytest.mark.parametrize("args", [["--help"], ["kring", "--help"], ["qde-check", "-h"]])
+def test_help_exits_zero(args, capsys):
+    code, out, err = run_cli(args, capsys)
+    assert code == 0
+    assert out.startswith("usage: qkzero")
+    assert err == ""
+
+
 def _readme_commands():
     """The qkzero lines of the README's Command line block that need no
     input file."""

@@ -31,8 +31,10 @@ from qkzero import (
 from oracles import (
     chi_exponential_series,
     matrix_inverse_direct,
+    monomial,
     p2_line_bundle_kring,
     sympy_wdvv_tensor,
+    unit_series,
 )
 
 POINT = point_kring()
@@ -68,7 +70,7 @@ def test_point_metric_is_exponential():
 def test_point_product_is_constant_one():
     fd = build_frobenius_data(point_potential(10))
     c = fd.product[0].entries[0][0]
-    assert c == TruncatedSeries.one(c.spec)
+    assert c == unit_series(c.spec)
     assert c.spec.t_order == 7
 
 
@@ -230,7 +232,7 @@ def test_build_rejects_inverse_failing_certificate(monkeypatch):
     # summed from too few geometric terms would get wrong.
     def wrong_inverse(mat):
         rows = [list(row) for row in matrix_inverse_geometric(mat).entries]
-        rows[1][0] = rows[1][0] + TruncatedSeries.monomial(
+        rows[1][0] = rows[1][0] + monomial(
             mat.spec, {"t0": mat.spec.t_order}, Fraction(1, 7))
         return SeriesMatrix(tuple(map(tuple, rows)))
 
@@ -329,7 +331,7 @@ def _classical_p1():
 
 def _bumped(fd, k, row, col):
     # fd with t0 added to entry (row, col) of product[k].
-    bump = TruncatedSeries.monomial(fd.product[k].spec, {"t0": 1})
+    bump = monomial(fd.product[k].spec, {"t0": 1})
     rows = [list(r) for r in fd.product[k].entries]
     rows[row][col] = rows[row][col] + bump
     product = list(fd.product)

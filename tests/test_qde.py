@@ -9,6 +9,7 @@ perturbed table entry must surface in the residual with a footprint that
 linearity predicts coefficient by coefficient.
 """
 
+import json
 from dataclasses import replace
 from fractions import Fraction
 from math import comb, factorial
@@ -19,7 +20,6 @@ from qkzero import (
     CorrelatorTable,
     IncompleteTable,
     RingMismatch,
-    TruncatedSeries,
     TruncationMismatch,
     assemble_fundamental_solution,
     assemble_potential,
@@ -33,11 +33,13 @@ from qkzero import (
     quantized_metric,
     ring_from_target,
 )
+from qkzero.cli import main
 
 from oracles import (
     degree_zero_descendent_table,
     geometric_q,
     integrate_point_qde,
+    monomial,
     p2_line_bundle_kring,
     zero_matrix,
 )
@@ -132,6 +134,27 @@ def test_transposed_action_fails_equation():
     assert any(not s.is_zero for s in summaries)
 
 
+def test_supplied_value_wins_where_computed_chi_vanishes(tmp_path, capsys):
+    """On P^1 the computed <e_1, e_1, tau_d(e_1)> is chi(e_1^3) E(3; 0, 0, d)
+    = 0 at every d, so S[1][1] has no t1 q^2 term; a table value for that
+    key must still enter S, and the QDE must then fail."""
+    ring = projective_space_kring(1)
+    table = CorrelatorTable.empty(ring, 1, {"type": "projective", "n": 1})
+    computed = assemble_fundamental_solution(table, 3, 0, 2).matrix.entries[1][1]
+    assert computed.coefficient({"t1": 1, "q": 2}) == 0
+    perturbed = table.with_descendent_entry((0,), (1, 1), (1, 2), Fraction(5))
+    entry = assemble_fundamental_solution(perturbed, 3, 0, 2).matrix.entries[1][1]
+    assert entry.coefficient({"t1": 1, "q": 2}) == 5
+    assert entry - computed == monomial(entry.spec, {"t1": 1, "q": 2}, 5)
+
+    path = tmp_path / "table.json"
+    path.write_text(json.dumps(perturbed.to_json_dict()))
+    code = main(["qde-check", "--input", str(path), "--t-order", "3",
+                 "--desc-order", "2"])
+    capsys.readouterr()
+    assert code == 3
+
+
 def test_perturbed_entry_footprint():
     delta = Fraction(3, 7)
     ring, table, fd, solution = _point_setup()
@@ -142,7 +165,7 @@ def test_perturbed_entry_footprint():
     # The entry enters S once, through the n = 3 insertion block.
     diff = bad.matrix.entries[0][0] - solution.matrix.entries[0][0]
     spec = solution.matrix.spec
-    assert diff == TruncatedSeries.monomial(
+    assert diff == monomial(
         spec, {"t0": 3, "q": 2}, delta / factorial(3))
 
     # Differentiation and the geometric ladder spread it out with the
@@ -153,9 +176,9 @@ def test_perturbed_entry_footprint():
     a_entry = fd.product[0].entries[0][0].truncated(t_order=window)
     geom = geometric_q(ds.spec)
     residual = ds - a_entry * s_entry.truncated(t_order=window) * geom
-    expected = TruncatedSeries.monomial(ds.spec, {"t0": 2, "q": 2}, delta / 2)
+    expected = monomial(ds.spec, {"t0": 2, "q": 2}, delta / 2)
     for e in range(2, M_POINT + 1):
-        expected = expected + TruncatedSeries.monomial(
+        expected = expected + monomial(
             ds.spec, {"t0": 3, "q": e}, -delta / 6)
     assert residual == expected
 

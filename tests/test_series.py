@@ -31,11 +31,13 @@ from oracles import (
     NotInvertible,
     geometric_q,
     matrix_inverse_direct,
+    monomial,
     naive_derivative,
     naive_over_one_minus_q,
     naive_product,
     naive_sum,
     reciprocal,
+    unit_series,
 )
 
 SPEC1 = SeriesSpec(num_t=1, num_novikov=0, t_order=4, novikov_order=0, q_order=0)
@@ -44,7 +46,7 @@ SPEC1 = SeriesSpec(num_t=1, num_novikov=0, t_order=4, novikov_order=0, q_order=0
 def exp_series(spec: SeriesSpec, order: int) -> TruncatedSeries:
     acc = TruncatedSeries.zero(spec)
     for k in range(order + 1):
-        acc = acc + TruncatedSeries.monomial(spec, {"t0": k}, Fraction(1, factorial(k)))
+        acc = acc + monomial(spec, {"t0": k}, Fraction(1, factorial(k)))
     return acc
 
 
@@ -65,11 +67,11 @@ def test_reciprocal_of_truncated_exp():
     assert r.coefficient({"t0": 0}) == 1
     assert r.coefficient({"t0": 1}) == -1
     assert r.coefficient({"t0": 2}) == Fraction(1, 2)
-    assert (a * r) == TruncatedSeries.one(spec)
+    assert (a * r) == unit_series(spec)
 
 
 def test_reciprocal_requires_unit_constant_term():
-    t = TruncatedSeries.monomial(SPEC1, {"t0": 1})
+    t = monomial(SPEC1, {"t0": 1})
     with pytest.raises(NotInvertible):
         reciprocal(t)
 
@@ -84,7 +86,7 @@ def test_derivative_drops_truncation_order():
 
 def test_derivative_of_mixed_monomial():
     spec = SeriesSpec(2, 0, 3, 0, 0)
-    m = TruncatedSeries.monomial(spec, {"t0": 2, "t1": 1})
+    m = monomial(spec, {"t0": 2, "t1": 1})
     d = m.derivative("t0")
     assert d.coefficient({"t0": 1, "t1": 1}) == 2
     assert len(d.coeffs) == 1
@@ -92,14 +94,14 @@ def test_derivative_of_mixed_monomial():
 
 def test_unknown_variable_rejected():
     with pytest.raises(UnknownVariable):
-        TruncatedSeries.one(SPEC1).derivative("t7")
+        unit_series(SPEC1).derivative("t7")
     with pytest.raises(UnknownVariable):
-        TruncatedSeries.monomial(SPEC1, {"u": 1})
+        monomial(SPEC1, {"u": 1})
 
 
 def test_arithmetic_requires_identical_spec():
-    a = TruncatedSeries.one(SeriesSpec(1, 0, 3, 0, 0))
-    b = TruncatedSeries.one(SeriesSpec(1, 0, 4, 0, 0))
+    a = unit_series(SeriesSpec(1, 0, 3, 0, 0))
+    b = unit_series(SeriesSpec(1, 0, 4, 0, 0))
     with pytest.raises(IncompatibleSeries):
         a + b
     with pytest.raises(IncompatibleSeries):
@@ -107,7 +109,7 @@ def test_arithmetic_requires_identical_spec():
 
 
 def test_truncation_only_lowers():
-    a = TruncatedSeries.one(SeriesSpec(1, 0, 3, 0, 0))
+    a = unit_series(SeriesSpec(1, 0, 3, 0, 0))
     with pytest.raises(IncompatibleSeries):
         a.truncated(t_order=5)
 
@@ -119,7 +121,8 @@ def test_negative_exponents_rejected():
 
 def test_matrix_inverse_geometric_constant_case():
     spec = SeriesSpec(0, 0, 0, 0, 0)
-    g = SeriesMatrix.from_rational_matrix(spec, [[1, 1], [1, 0]])
+    g = SeriesMatrix(tuple(tuple(TruncatedSeries.constant(spec, x) for x in row)
+                           for row in [[1, 1], [1, 0]]))
     inv = matrix_inverse_geometric(g)
     assert inv.constant_matrix() == ((Fraction(0), Fraction(1)),
                                      (Fraction(1), Fraction(-1)))
@@ -127,8 +130,8 @@ def test_matrix_inverse_geometric_constant_case():
 
 def test_matrix_inverse_singular_rejected():
     spec = SeriesSpec(1, 0, 2, 0, 0)
-    t = TruncatedSeries.monomial(spec, {"t0": 1})
-    rows = ((TruncatedSeries.one(spec), t), (t, t * t))
+    t = monomial(spec, {"t0": 1})
+    rows = ((unit_series(spec), t), (t, t * t))
     singular = SeriesMatrix(rows)  # determinant vanishes at the origin? no:
     # [[1, t], [t, t^2]] has constant term [[1,0],[0,0]], which is singular.
     with pytest.raises(SingularMetric):
@@ -166,7 +169,7 @@ def test_ring_laws(a, b, c):
     assert (a * b) * c == a * (b * c)
     assert a * (b + c) == a * b + a * c
     assert a + TruncatedSeries.zero(a.spec) == a
-    assert a * TruncatedSeries.one(a.spec) == a
+    assert a * unit_series(a.spec) == a
 
 
 @given(_series(), _series())
@@ -188,11 +191,11 @@ def test_derivative_commutes_with_truncation(a):
 @given(_series())
 @settings(max_examples=30, deadline=None)
 def test_reciprocal_inverts_and_commutes_with_truncation(a):
-    unit = TruncatedSeries.one(a.spec) + a - TruncatedSeries.constant(
+    unit = unit_series(a.spec) + a - TruncatedSeries.constant(
         a.spec, a.constant_term)
     # unit now has constant term exactly 1
     r = reciprocal(unit)
-    assert unit * r == TruncatedSeries.one(a.spec)
+    assert unit * r == unit_series(a.spec)
     assert r.truncated(t_order=2) == reciprocal(unit.truncated(t_order=2))
 
 
@@ -299,7 +302,7 @@ def test_product_cancelling_to_one(f):
     """(1 + f) times the truncated geometric series of -f is exactly 1 when f
     has no constant term: every other coefficient cancels to zero."""
     spec = f.spec
-    one = TruncatedSeries.one(spec)
+    one = unit_series(spec)
     f = f - TruncatedSeries.constant(spec, f.constant_term)
     geometric, power = one, one
     for _ in range(spec.budget()):
@@ -307,6 +310,91 @@ def test_product_cancelling_to_one(f):
         geometric = geometric + power
     _assert_kernel_matches_oracle(one + f, geometric)
     assert (one + f) * geometric == one
+
+
+# -- kernel edge cases: one-term factors, cancellation, full packed fields -----
+
+
+def _assert_tuple_keys(series: TruncatedSeries) -> None:
+    assert all(type(exp) is tuple for exp in series.nums)
+
+
+def _mixed_series(spec: SeriesSpec) -> TruncatedSeries:
+    """A few terms in every group, up to each group's order, over mixed
+    denominators."""
+    terms = {}
+    for pos in range(spec.nvars):
+        top = spec.q_order if pos == spec.nvars - 1 else (
+            spec.t_order if pos < spec.num_t else spec.novikov_order)
+        for k in range(max(top, 0) + 1):
+            exp = [0] * spec.nvars
+            exp[pos] = k
+            terms[tuple(exp)] = Fraction((-1) ** k * (pos + 2), k + 3)
+    return TruncatedSeries(spec, terms)
+
+
+@pytest.mark.parametrize("factor", [Fraction(3, 7), Fraction(-2), Fraction(1)])
+def test_product_with_constant_factor_matches_oracle(factor):
+    b = _mixed_series(SMALL_SPEC)
+    c = TruncatedSeries.constant(SMALL_SPEC, factor)
+    _assert_kernel_matches_oracle(c, b)
+    _assert_tuple_keys(c * b)
+    assert c * b == b.scaled(factor)
+
+
+@pytest.mark.parametrize("powers", [
+    {"t0": 3}, {"t1": 2, "Q0": 2}, {"t0": 1, "t1": 2, "Q0": 2, "q": 1}])
+def test_product_with_monomial_at_window_edge_matches_oracle(powers):
+    """A monomial on the edge of the window keeps only the terms of the other
+    factor with no degree in its full groups."""
+    m = monomial(SMALL_SPEC, powers, Fraction(-5, 3))
+    b = _mixed_series(SMALL_SPEC)
+    _assert_kernel_matches_oracle(m, b)
+    _assert_tuple_keys(m * b)
+
+
+def test_product_with_single_term_zero_series():
+    zero = TruncatedSeries(SMALL_SPEC, {(1, 0, 1, 0): Fraction(0)})
+    assert zero.is_zero() and zero.den == 1
+    b = _mixed_series(SMALL_SPEC)
+    _assert_kernel_matches_oracle(zero, b)
+    for product in (zero * b, b * zero, zero * zero):
+        assert product.is_zero() and product.den == 1
+        assert product.spec == SMALL_SPEC
+
+
+def test_exp_times_exp_of_minus_t_cancels_every_term():
+    """e^t e^-t on the point at t order 61: every coefficient of positive
+    degree is a vanishing alternating binomial sum over 61!-sized
+    denominators."""
+    spec = SeriesSpec(num_t=1, num_novikov=0, t_order=61, novikov_order=0, q_order=0)
+    e = exp_series(spec, 61)
+    inverse = TruncatedSeries(spec, {exp: (-1) ** exp[0] * value
+                                     for exp, value in e.coeffs.items()})
+    _assert_kernel_matches_oracle(e, inverse)
+    product = e * inverse
+    assert product == unit_series(spec)
+    _assert_tuple_keys(product)
+
+
+# Five t, one Novikov variable and q, as on P^4 at positive degree.  Each
+# spec's budget is 7, so every exponent is packed into a 3-bit field; an
+# order equal to the budget lets an exponent of 7 fill its field, and the
+# pairs whose sum would pass 7 must be skipped rather than carried.
+@pytest.mark.parametrize("orders,powers", [
+    ((7, 0, 0), {"t0": 2, "t4": 5}),
+    ((0, 7, 0), {"Q0": 7}),
+    ((0, 0, 7), {"q": 7}),
+    ((3, 2, 2), {"t1": 1, "t3": 2, "Q0": 2, "q": 2}),
+])
+def test_product_with_full_packed_fields_matches_oracle(orders, powers):
+    spec = SeriesSpec(5, 1, *orders)
+    assert spec.budget() == 7
+    a = _mixed_series(spec)
+    b = a + monomial(spec, powers, Fraction(2, 9))
+    _assert_kernel_matches_oracle(a, b)
+    _assert_kernel_matches_oracle(a, a)
+    _assert_tuple_keys(a * b)
 
 
 # -- parsing rationals ----------------------------------------------------------
