@@ -108,8 +108,6 @@ def assemble_fundamental_solution(table: CorrelatorTable, t_order: int,
                         raise IncompleteTable(beta, insertions, (j, d))
                     if chi_num is None:
                         value = chi(insertions + (j,))
-                        if not (value or entries):
-                            break
                         chi_num = value.numerator
                         if chi_num:
                             chi_terms = cell.setdefault(value.denominator * weight, {})

@@ -99,8 +99,9 @@ class SeriesSpec:
         return td, nd, exp[-1]
 
     def admits(self, exp: Exponent) -> bool:
-        td, nd, qd = self.degrees(exp)
-        return td <= self.t_order and nd <= self.novikov_order and qd <= self.q_order
+        nt = self.num_t
+        return (exp[-1] <= self.q_order and sum(exp[:nt]) <= self.t_order
+                and sum(exp[nt:-1]) <= self.novikov_order)
 
     def var_position(self, name: str) -> int:
         if name == "q":
@@ -333,6 +334,9 @@ class TruncatedSeries:
                 for key, num in out.items() if num}
         return TruncatedSeries.from_numerators(spec, nums, a.den * b.den)
 
+    def __rmul__(self, other: RationalLike) -> "TruncatedSeries":
+        return self.scaled(other)
+
     def scaled(self, value: RationalLike) -> "TruncatedSeries":
         if not _exact(value):
             return TruncatedSeries.zero(self.spec)
@@ -384,12 +388,9 @@ class TruncatedSeries:
         spec = self.spec.truncated(t_order, novikov_order, q_order)
         if spec == self.spec:
             return self
-        nt, nq = spec.num_t, spec.nvars - 1
-        t_top, n_top, q_top = spec.t_order, spec.novikov_order, spec.q_order
-        return TruncatedSeries.from_numerators(spec, {
-            exp: num for exp, num in self.nums.items()
-            if exp[nq] <= q_top and sum(exp[:nt]) <= t_top and sum(exp[nt:nq]) <= n_top
-        }, self.den)
+        admits = spec.admits
+        return TruncatedSeries.from_numerators(
+            spec, {exp: num for exp, num in self.nums.items() if admits(exp)}, self.den)
 
     # -- serialization -----------------------------------------------------
 

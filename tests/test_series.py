@@ -363,6 +363,12 @@ def test_product_with_single_term_zero_series():
         assert product.spec == SMALL_SPEC
 
 
+def test_rational_factor_on_either_side():
+    b = _mixed_series(SMALL_SPEC)
+    for value in (3, Fraction(-2, 7), 1, 0):
+        assert value * b == b * value == b.scaled(value)
+
+
 def test_exp_times_exp_of_minus_t_cancels_every_term():
     """e^t e^-t on the point at t order 61: every coefficient of positive
     degree is a vanishing alternating binomial sum over 61!-sized
