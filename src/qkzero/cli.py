@@ -205,9 +205,7 @@ def cmd_qde_check(args: argparse.Namespace) -> int:
     table = _resolve_table(args)
     # Potential three orders higher so the product is certified on the
     # same t window as the derivative of the solution.
-    potential = assemble_potential(table, args.t_order + 3,
-                                   args.novikov_order,
-                                   q_order=args.desc_order)
+    potential = assemble_potential(table, args.t_order + 3, args.novikov_order)
     fd = build_frobenius_data(potential)
     solution = assemble_fundamental_solution(table, args.t_order,
                                              args.novikov_order,

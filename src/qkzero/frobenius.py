@@ -56,8 +56,7 @@ class ResidualSummary:
         }
 
 
-def assemble_potential(table: CorrelatorTable, t_order: int, novikov_order: int,
-                       q_order: int = 0) -> Potential:
+def assemble_potential(table: CorrelatorTable, t_order: int, novikov_order: int) -> Potential:
     """Sum every correlator the truncation demands, the classical quadratic
     pairing term included: it is the degree-zero two-point term, since
     chi(e_i e_j) = g_ij.
@@ -66,12 +65,11 @@ def assemble_potential(table: CorrelatorTable, t_order: int, novikov_order: int,
     characteristic of the insertion product; positive-degree correlators
     must be supplied, and the first missing key aborts the assembly.  Terms
     are integer numerators over their value's denominator times prod m_i!,
-    put over their lcm once.  The potential itself never involves the
-    descendent variable, so any q order is certified; carrying one lets
-    downstream products meet descendent series without coercion.
+    put over their lcm once.  The potential never involves the descendent
+    variable: its spec has q order 0.
     """
     ring = table.ring
-    spec = SeriesSpec(ring.rank, table.degree_rank, t_order, novikov_order, q_order)
+    spec = SeriesSpec(ring.rank, table.degree_rank, t_order, novikov_order, 0)
     chi = degree_zero_chi(ring)
     groups: dict[int, dict[tuple[int, ...], int]] = {}
     for beta, kappa, base, weight in insertion_multisets(

@@ -20,7 +20,10 @@ itself.
 Both identities are checked exactly on the largest window the two
 truncations certify jointly; the q window never shrinks because 1/(1-q)
 acts as a running sum in q, whose q^m coefficient reads only the known
-q^0..q^m coefficients.
+q^0..q^m coefficients.  The product is a function of t and Q alone: its
+spec must have q order 0 and the Novikov truncation of S (TruncationMismatch
+otherwise), and each residual lifts it into S's q window unchanged
+(SeriesMatrix.widened).  Only this module reads a descendent order.
 """
 
 from __future__ import annotations
@@ -126,10 +129,8 @@ def _aligned_window(solution: QDESolution, fd: FrobeniusData) -> int:
     if s_spec.num_novikov != a_spec.num_novikov \
             or s_spec.novikov_order != a_spec.novikov_order:
         raise TruncationMismatch("Novikov truncations differ")
-    if s_spec.q_order != a_spec.q_order:
-        raise TruncationMismatch(
-            f"descendent orders differ: solution {s_spec.q_order}, "
-            f"product {a_spec.q_order}")
+    if a_spec.q_order:
+        raise TruncationMismatch(f"the product carries q to order {a_spec.q_order}")
     window = min(s_spec.t_order - 1, a_spec.t_order)
     if window < 0:
         raise TruncationMismatch("no common t window for the residual")
@@ -145,7 +146,8 @@ def qde_residual(solution: QDESolution, fd: FrobeniusData) -> list[ResidualSumma
     summaries = []
     for k, partial in enumerate(solution.partials):
         ds = partial.truncated(t_order=window)
-        product = (fd.product[k].truncated(t_order=order) * s).truncated(t_order=window)
+        a = fd.product[k].truncated(t_order=order).widened(s.spec)
+        product = (a * s).truncated(t_order=window)
         summed = SeriesMatrix(tuple(tuple(e.over_one_minus_q() for e in row)
                                     for row in product.entries))
         del product  # only its q-sums are read; kept, it adds a copy of S to the peak
@@ -163,7 +165,7 @@ def gwdvv_residuals(solution: QDESolution, fd: FrobeniusData
     if rank < 2:
         return []
     partials = [p.truncated(t_order=window) for p in solution.partials]
-    a_trunc = [p.truncated(t_order=window) for p in fd.product]
+    a_trunc = [p.truncated(t_order=window).widened(partials[0].spec) for p in fd.product]
     summaries = []
     for j in range(rank):
         for k in range(j + 1, rank):

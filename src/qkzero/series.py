@@ -94,9 +94,8 @@ class SeriesSpec:
         return self.num_t + self.num_novikov + 1
 
     def degrees(self, exp: Exponent) -> tuple[int, int, int]:
-        td = sum(exp[: self.num_t])
-        nd = sum(exp[self.num_t : self.num_t + self.num_novikov])
-        return td, nd, exp[-1]
+        nt = self.num_t
+        return sum(exp[:nt]), sum(exp[nt:-1]), exp[-1]
 
     def admits(self, exp: Exponent) -> bool:
         nt = self.num_t
@@ -104,16 +103,9 @@ class SeriesSpec:
                 and sum(exp[nt:-1]) <= self.novikov_order)
 
     def var_position(self, name: str) -> int:
-        if name == "q":
-            return self.nvars - 1
-        group, idx = name[:1], name[1:]
-        if idx.isdigit():
-            i = int(idx)
-            if group == "t" and i < self.num_t:
-                return i
-            if group == "Q" and i < self.num_novikov:
-                return self.num_t + i
-        raise UnknownVariable(f"{name!r} not among {self.vars}")
+        if name not in self.vars:
+            raise UnknownVariable(f"{name!r} not among {self.vars}")
+        return self.vars.index(name)
 
     def after_derivative(self, name: str) -> "SeriesSpec":
         """The spec with the order of ``name``'s group lowered by one."""
@@ -515,6 +507,11 @@ class SeriesMatrix:
             for row in self.entries
         ))
 
+    def widened(self, spec: SeriesSpec) -> "SeriesMatrix":
+        """The same entries under spec, which must hold every term of each."""
+        return SeriesMatrix(tuple(tuple(TruncatedSeries.from_numerators(spec, e.nums, e.den)
+                                        for e in row) for row in self.entries))
+
     def constant_matrix(self) -> tuple[tuple[Fraction, ...], ...]:
         return tuple(tuple(entry.constant_term for entry in row) for row in self.entries)
 
@@ -526,12 +523,13 @@ def matrix_inverse_geometric(mat: SeriesMatrix) -> SeriesMatrix:
     """Invert G by Newton's iteration X <- X + X (I - G X) from X = g^-1,
     g the constant term; each round squares the error I - G X.
 
-    Round i runs with every group order capped at 2^i - 1.  Terms the last
-    window lacked have total degree >= 2^(i-1), where the error starts, so
-    lifting X keeps it there and the round doubles it.  Capped windows admit
-    higher total degrees, so the loop stops at the full window only once
-    I - G X is zero, or after the round where 2^i exceeds the budget: at
-    most bit_length(budget) rounds of two products.  Raises SingularMetric
+    Round i runs with every group order capped at 2^i - 1.  X is widened as
+    is, since its terms all lie in the new window; the terms it lacks have
+    total degree >= 2^(i-1), where the error starts, so the error stays
+    there and the round doubles it.  Capped windows admit higher
+    total degrees, so the loop stops at the full window only once I - G X
+    is zero, or after the round where 2^i exceeds the budget: at most
+    bit_length(budget) rounds of two products.  Raises SingularMetric
     when g is singular.
     """
     g_inv = try_rational_inverse(mat.constant_matrix())
@@ -544,9 +542,7 @@ def matrix_inverse_geometric(mat: SeriesMatrix) -> SeriesMatrix:
         size *= 2
         g = mat.truncated(*(min(order, size - 1) for order in
                             (spec.t_order, spec.novikov_order, spec.q_order)))
-        # Every term of X lies in the new window, so it carries over as is.
-        x = SeriesMatrix(tuple(tuple(TruncatedSeries.from_numerators(g.spec, e.nums, e.den)
-                                     for e in row) for row in x.entries))
+        x = x.widened(g.spec)
         error = SeriesMatrix.identity(g.spec, mat.dimension) - g * x
         if g.spec == spec and error.is_zero():
             break

@@ -188,7 +188,7 @@ def test_criterion_6_inverse_routes():
 def test_criterion_7_point_qde():
     ring = point_kring()
     table = CorrelatorTable.empty(ring, 0, {"type": "point"})
-    potential = assemble_potential(table, 11, 0, q_order=8)
+    potential = assemble_potential(table, 11, 0)
     fd = build_frobenius_data(potential)
     solution = assemble_fundamental_solution(table, 8, 0, 8)
 

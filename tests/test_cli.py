@@ -506,14 +506,18 @@ def test_help_exits_zero(args, capsys):
     assert err == ""
 
 
+def _readme_block(heading, language):
+    """The first fenced block in the given language under a README heading."""
+    readme_path = Path(__file__).resolve().parent.parent / "README.md"
+    readme = readme_path.read_text(encoding="utf-8")
+    block = readme.split(f"## {heading}", 1)[1].split(f"```{language}", 1)[1]
+    return block.split("```", 1)[0]
+
+
 def _readme_commands():
     """The qkzero lines of the README's Command line block that need no
     input file."""
-    readme_path = Path(__file__).resolve().parent.parent / "README.md"
-    readme = readme_path.read_text(encoding="utf-8")
-    block = readme.split("## Command line", 1)[1].split("```sh", 1)[1]
-    lines = block.split("```", 1)[0].splitlines()
-    return [shlex.split(line)[1:] for line in lines
+    return [shlex.split(line)[1:] for line in _readme_block("Command line", "sh").splitlines()
             if line.startswith("qkzero ") and "--input" not in line]
 
 
@@ -522,3 +526,12 @@ def test_readme_command_line_examples_exit_zero(args, capsys):
     code, out, _ = run_cli(args, capsys)
     assert code == 0
     assert out
+
+
+def test_readme_library_example_prints_its_comments(capsys):
+    block = _readme_block("Library", "python")
+    exec(compile(block, "README.md", "exec"), {})
+    expected = [line.split("#", 1)[1].strip() for line in block.splitlines()
+                if line.startswith("print(")]
+    assert expected
+    assert capsys.readouterr().out.splitlines() == expected

@@ -205,12 +205,12 @@ def test_frobenius_data_is_one_matrix_per_class(ring, table, t_order, novikov_or
 
 
 def test_geometric_inverse_doubles_precision_per_round(monkeypatch):
-    # The point metric of a qde-check at t and q order 60: 121 is its
-    # truncation budget.  Summing the geometric series one power of M at a
-    # time would take 63 matrix products; each Newton round doubles the
-    # certified total degree for two.
-    potential = assemble_potential(empty_table(POINT), 63, 0, q_order=60)
-    gm = quantized_metric(potential)
+    # The point metric of a qde-check at t order 60, widened to q order 60:
+    # 121 is its truncation budget.  Summing the geometric series one power
+    # of M at a time would take 63 matrix products; each Newton round
+    # doubles the certified total degree for two.
+    gm = quantized_metric(point_potential(63))
+    gm = gm.widened(replace(gm.spec, q_order=60))
     budget = gm.spec.budget()
     assert budget == 121
     calls = []

@@ -33,6 +33,7 @@ from qkzero import (
     quantized_metric,
     ring_from_target,
 )
+from qkzero import cli
 from qkzero.cli import main
 
 from oracles import (
@@ -51,7 +52,7 @@ M_POINT = 4
 def _point_setup(t_order=T_POINT, q_order=M_POINT):
     ring = point_kring()
     table = CorrelatorTable.empty(ring, 0, {"type": "point"})
-    potential = assemble_potential(table, t_order + 3, 0, q_order=q_order)
+    potential = assemble_potential(table, t_order + 3, 0)
     fd = build_frobenius_data(potential)
     solution = assemble_fundamental_solution(table, t_order, 0, q_order)
     return ring, table, fd, solution
@@ -61,7 +62,7 @@ def _projective_setup(nproj, t_order, q_order):
     ring = projective_space_kring(nproj)
     table = degree_zero_descendent_table(
         ring, {"type": "projective", "n": nproj}, t_order, q_order)
-    potential = assemble_potential(table, t_order + 3, 0, q_order=q_order)
+    potential = assemble_potential(table, t_order + 3, 0)
     fd = build_frobenius_data(potential)
     solution = assemble_fundamental_solution(table, t_order, 0, q_order)
     return ring, table, fd, solution
@@ -173,7 +174,7 @@ def test_perturbed_entry_footprint():
     window = T_POINT - 1
     s_entry = bad.matrix.entries[0][0]
     ds = s_entry.derivative("t0").truncated(t_order=window)
-    a_entry = fd.product[0].entries[0][0].truncated(t_order=window)
+    a_entry = fd.product[0].truncated(t_order=window).widened(ds.spec).entries[0][0]
     geom = geometric_q(ds.spec)
     residual = ds - a_entry * s_entry.truncated(t_order=window) * geom
     expected = monomial(ds.spec, {"t0": 2, "q": 2}, delta / 2)
@@ -247,11 +248,49 @@ def test_plain_entry_alone_breaks_the_solution_at_q0():
     assert solution.matrix.truncated(q_order=0) != metric
 
 
-def test_mismatched_descendent_orders_rejected():
-    ring, table, fd, _ = _point_setup()
-    shallow = assemble_fundamental_solution(table, T_POINT, 0, M_POINT - 1)
-    with pytest.raises(TruncationMismatch):
-        qde_residual(shallow, fd)
+@pytest.mark.parametrize("target,degree_rank", [
+    ({"type": "point"}, 0),
+    ({"type": "projective", "n": 2}, 1),
+])
+def test_one_q_free_product_checks_every_descendent_order(target, degree_rank):
+    # frobenius-check's potential at t order T + 3 serves S at q order 0,
+    # M - 1 and M alike: the product never carries q.
+    ring = ring_from_target(target)
+    table = CorrelatorTable.empty(ring, degree_rank, target)
+    t_order = 4
+    fd = build_frobenius_data(assemble_potential(table, t_order + 3, 0))
+    assert fd.product[0].spec.q_order == 0
+    for q_order in (0, M_POINT - 1, M_POINT):
+        solution = assemble_fundamental_solution(table, t_order, 0, q_order)
+        summaries = qde_residual(solution, fd)
+        assert [s.window for s in summaries] == [
+            {"t": t_order - 1, "novikov": 0, "q": q_order}] * ring.rank
+        assert all(s.is_zero for s in summaries)
+        assert all(s.is_zero for _, s in gwdvv_residuals(solution, fd))
+
+
+def test_qde_check_and_frobenius_check_build_the_same_product(monkeypatch, capsys):
+    built = []
+
+    def recording(potential):
+        built.append(build_frobenius_data(potential))
+        return built[-1]
+
+    monkeypatch.setattr(cli, "build_frobenius_data", recording)
+    assert main(["frobenius-check", "--target", "projective:2", "--t-order", "7"]) == 0
+    assert main(["qde-check", "--target", "projective:2", "--t-order", "4",
+                 "--desc-order", str(M_POINT)]) == 0
+    capsys.readouterr()
+    assert built[0] == built[1]
+
+
+def test_product_carrying_q_rejected():
+    _, _, fd, solution = _point_setup()
+    product = tuple(p.widened(replace(p.spec, q_order=M_POINT)) for p in fd.product)
+    with pytest.raises(TruncationMismatch, match="carries q"):
+        qde_residual(solution, replace(fd, product=product))
+    with pytest.raises(TruncationMismatch, match="carries q"):
+        gwdvv_residuals(solution, replace(fd, product=product))
 
 
 def test_ring_mismatch_rejected():
@@ -263,7 +302,7 @@ def test_ring_mismatch_rejected():
 
 def test_window_is_joint_certification():
     ring, table, _, solution = _point_setup()
-    shallow_potential = assemble_potential(table, 4, 0, q_order=M_POINT)
+    shallow_potential = assemble_potential(table, 4, 0)
     shallow_fd = build_frobenius_data(shallow_potential)
     summaries = qde_residual(solution, shallow_fd)
     assert summaries[0].window == {"t": 1, "novikov": 0, "q": M_POINT}
@@ -272,7 +311,7 @@ def test_window_is_joint_certification():
 
 def test_deeper_product_is_cut_to_the_solution_window():
     ring, table, _, solution = _point_setup()
-    deep_potential = assemble_potential(table, T_POINT + 5, 0, q_order=M_POINT)
+    deep_potential = assemble_potential(table, T_POINT + 5, 0)
     summaries = qde_residual(solution, build_frobenius_data(deep_potential))
     assert summaries[0].window == {"t": T_POINT - 1, "novikov": 0, "q": M_POINT}
     assert summaries[0].is_zero

@@ -99,6 +99,14 @@ def test_unknown_variable_rejected():
         monomial(SPEC1, {"u": 1})
 
 
+def test_only_canonical_variable_names_accepted():
+    spec = SeriesSpec(2, 1, 3, 1, 1)
+    assert [spec.var_position(name) for name in spec.vars] == [0, 1, 2, 3]
+    for name in ("t01", "t2", "Q1", "Q01", "t", "T0", "t\u0661", "q0"):
+        with pytest.raises(UnknownVariable):
+            spec.var_position(name)
+
+
 def test_arithmetic_requires_identical_spec():
     a = unit_series(SeriesSpec(1, 0, 3, 0, 0))
     b = unit_series(SeriesSpec(1, 0, 4, 0, 0))
@@ -557,7 +565,7 @@ def test_point_pipeline_builds_almost_no_fractions(monkeypatch):
     point at 60/60 run on integer numerators: no Fraction per term."""
     ring = point_kring()
     table = CorrelatorTable.empty(ring, 0, {"type": "point"})
-    potential = assemble_potential(table, 63, 0, q_order=60)
+    potential = assemble_potential(table, 63, 0)
     solution = assemble_fundamental_solution(table, 60, 0, 60)
     made, fd = _count_fractions(monkeypatch, lambda: build_frobenius_data(potential))
     assert made < 50
