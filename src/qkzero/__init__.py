@@ -5,7 +5,6 @@ solution of the quantum differential equation, all over the rationals."""
 from .correlators import (
     ConsistencyReport,
     CorrelatorTable,
-    beta_zero_correlator,
     effective_degrees,
     load_correlators,
     ring_from_target,
@@ -18,7 +17,6 @@ from .errors import (
     IncompleteTable,
     IneffectiveDegree,
     InvalidPresentation,
-    ModuliNonexistent,
     NotReducible,
     QKError,
     RingMismatch,

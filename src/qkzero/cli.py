@@ -129,12 +129,14 @@ def cmd_descendent(args: argparse.Namespace) -> int:
             raise ValueError("batch file must be a JSON array of integer arrays")
         any_irreducible = False
         lines = []
-        for idx in batch:
+        for position, idx in enumerate(batch):
             try:
                 value = str(descendent_euler(idx))
             except NotReducible:
                 value = "NotReducible"
                 any_irreducible = True
+            except ValueError as exc:
+                raise ValueError(f"batch entry {position} {idx}: {exc}") from None
             lines.append(json.dumps({"index": idx, "value": value},
                                     sort_keys=True))
         _write(args, "\n".join(lines) + "\n",

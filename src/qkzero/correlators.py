@@ -20,19 +20,14 @@ of the curve: the value is chi(prod u_i * e_j) * E(m+1; 0,...,0,d).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import combinations_with_replacement, product
 from math import factorial, prod
 from typing import Callable, Iterable, Iterator
 
-from .errors import (
-    DuplicateEntry,
-    IneffectiveDegree,
-    ModuliNonexistent,
-    SchemaError,
-)
+from .errors import DuplicateEntry, IneffectiveDegree, SchemaError
 from .kring import KRingPresentation, point_kring, projective_space_kring
+from .record import Record
 from .series import format_rational, parse_rational
 
 DegreeVector = tuple[int, ...]
@@ -153,17 +148,7 @@ def degree_zero_chi(ring: KRingPresentation) -> Callable[[Iterable[int]], Fracti
     return chi
 
 
-def beta_zero_correlator(ring: KRingPresentation, insertions: Iterable[int]) -> Fraction:
-    """chi of the product of basis insertions; needs n >= 3 marked points."""
-    key = tuple(insertions)
-    if len(key) < 3:
-        raise ModuliNonexistent(
-            f"{len(key)} insertions at degree zero: no stable curve exists")
-    return degree_zero_chi(ring)(key)
-
-
-@dataclass(frozen=True)
-class CorrelatorTable:
+class CorrelatorTable(Record):
     """Correlator values keyed by degree and sorted insertion multiset."""
 
     ring: KRingPresentation
@@ -180,13 +165,13 @@ class CorrelatorTable:
     def with_entry(self, beta: DegreeVector, insertions: tuple[int, ...],
                    value: Fraction) -> "CorrelatorTable":
         key = table_key(self.ring.rank, self.degree_rank, beta, insertions)
-        return replace(self, entries={**self.entries, key: _exact_value(value)})
+        return self.replace(entries={**self.entries, key: _exact_value(value)})
 
     def with_descendent_entry(self, beta: DegreeVector, insertions: tuple[int, ...],
                               marked: tuple[int, int], value: Fraction) -> "CorrelatorTable":
         key = table_key(self.ring.rank, self.degree_rank, beta, insertions, marked)
-        return replace(self, descendent_entries={**self.descendent_entries,
-                                                 key: _exact_value(value)})
+        return self.replace(descendent_entries={**self.descendent_entries,
+                                                key: _exact_value(value)})
 
     def to_json_dict(self) -> dict:
         plain = [
@@ -266,8 +251,7 @@ def load_correlators(doc: object) -> CorrelatorTable:
                            entries, descendent_entries)
 
 
-@dataclass(frozen=True)
-class ConsistencyReport:
+class ConsistencyReport(Record):
     checked_pairs: int
     violations: tuple[dict, ...]
 

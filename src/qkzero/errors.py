@@ -28,10 +28,6 @@ class RingMismatch(QKError):
     """A QDE solution checked against product data built on a different ring."""
 
 
-class ModuliNonexistent(QKError):
-    """A degree-zero correlator with fewer than three insertions."""
-
-
 class NotReducible(QKError):
     """A descendent index outside the closure of the string/dilaton reduction.
 

@@ -15,13 +15,13 @@ piece built from derivatives of the product to T-4.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator
 
 from .correlators import CorrelatorTable, degree_zero_chi, insertion_multisets
 from .errors import IncompleteTable
 from .kring import KRingPresentation
+from .record import Record
 from .series import (
     SeriesMatrix,
     SeriesSpec,
@@ -31,14 +31,12 @@ from .series import (
 )
 
 
-@dataclass(frozen=True)
-class Potential:
+class Potential(Record):
     ring: KRingPresentation
     series: TruncatedSeries
 
 
-@dataclass(frozen=True)
-class ResidualSummary:
+class ResidualSummary(Record):
     """Largest absolute coefficient of a residual family, with its location."""
 
     max_abs: Fraction
@@ -94,8 +92,7 @@ def quantized_metric(potential: Potential) -> SeriesMatrix:
     ))
 
 
-@dataclass(frozen=True)
-class FrobeniusData:
+class FrobeniusData(Record):
     """Metric, inverse metric, and per basis class e_k the matrices
     third[k] = dG/dt_k (entries G_{ijk}, symmetric in all three indices) and
     product[k] = third[k] * G^{-1}, whose row j holds c_{kj}^l, the
@@ -215,8 +212,7 @@ def classical_limit_residual(fd: FrobeniusData) -> ResidualSummary:
     return residual_summary(pieces, window_dict(spec3))
 
 
-@dataclass(frozen=True)
-class FlatnessReport:
+class FlatnessReport(Record):
     """Curvature of the one-parameter family of connections built from the
     product: the coefficient of z is the antisymmetrized derivative of the
     A-family, the coefficient of z^2 is its commutator family, and the

@@ -11,11 +11,11 @@ a^{n+1} = 0 and chi(a^m) counts by inclusion-exclusion over twists.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial, prod
 
 from .errors import InvalidPresentation, SchemaError
+from .record import Record
 from .series import format_rational, parse_rational, try_rational_inverse
 
 
@@ -26,8 +26,7 @@ def euler_char_line_bundle(n: int, k: int) -> Fraction:
     return Fraction(prod(k + j for j in range(1, n + 1)), factorial(n))
 
 
-@dataclass(frozen=True)
-class KRingPresentation:
+class KRingPresentation(Record):
     labels: tuple[str, ...]
     mult: tuple[tuple[tuple[Fraction, ...], ...], ...]
     pairing: tuple[tuple[Fraction, ...], ...]

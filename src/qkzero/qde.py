@@ -28,7 +28,6 @@ otherwise), and each residual lifts it into S's q window unchanged
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
 from .correlators import CorrelatorTable, degree_zero_chi, insertion_multisets
@@ -41,6 +40,7 @@ from .frobenius import (
     window_dict,
 )
 from .kring import KRingPresentation
+from .record import Record
 from .series import (
     SeriesMatrix,
     SeriesSpec,
@@ -49,8 +49,7 @@ from .series import (
 )
 
 
-@dataclass(frozen=True)
-class QDESolution:
+class QDESolution(Record):
     ring: KRingPresentation
     matrix: SeriesMatrix
 
@@ -176,5 +175,8 @@ def gwdvv_residuals(solution: QDESolution, fd: FrobeniusData
 
 
 def is_complete(solution: QDESolution) -> bool:
-    """Invertibility of the solution at the origin of deformation space."""
+    """Invertibility of the solution at the origin of deformation space.
+
+    False only on a hand-built solution: an assembled S has the pairing g as
+    its constant term, and KRingPresentation rejects a singular g."""
     return try_rational_inverse(solution.matrix.constant_matrix()) is not None

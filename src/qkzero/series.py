@@ -21,7 +21,6 @@ the same truncation orders; lowering a truncation is always an explicit
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
@@ -33,6 +32,7 @@ from .errors import (
     SingularMetric,
     UnknownVariable,
 )
+from .record import Record
 
 Exponent = tuple[int, ...]
 
@@ -57,8 +57,7 @@ def parse_rational(text: str) -> Fraction:
         raise SchemaError(f"zero denominator in {text!r}") from exc
 
 
-@dataclass(frozen=True)
-class SeriesSpec:
+class SeriesSpec(Record):
     """Variable layout and per-group truncation orders.
 
     Variables are canonically named ``t0..t{num_t-1}``, ``Q0..Q{num_novikov-1}``
@@ -140,8 +139,7 @@ def _exact(value: RationalLike) -> RationalLike:
     raise TypeError(f"coefficients must be exact rationals, got {type(value).__name__}")
 
 
-@dataclass(frozen=True, init=False)
-class TruncatedSeries:
+class TruncatedSeries(Record):
     """A sparse exact power series truncated per variable group.
 
     Coefficients are stored as nonzero integer numerators ``nums`` over one
@@ -153,6 +151,8 @@ class TruncatedSeries:
     spec: SeriesSpec
     den: int
     nums: Mapping[Exponent, int]
+
+    __init__ = object.__init__  # __new__ builds and fills the instance
 
     def __new__(cls, spec: SeriesSpec,
                 coeffs: Mapping[Exponent, RationalLike]) -> "TruncatedSeries":
@@ -430,8 +430,7 @@ def try_rational_inverse(rows: Iterable[Iterable[RationalLike]]) -> list[list[Fr
     return [row[n:] for row in aug]
 
 
-@dataclass(frozen=True)
-class SeriesMatrix:
+class SeriesMatrix(Record):
     """A square matrix whose entries share one variable layout and truncation."""
 
     entries: tuple[tuple[TruncatedSeries, ...], ...]

@@ -29,15 +29,19 @@ def empty_point_table():
     return CorrelatorTable.empty(point_kring(), 0, {"type": "point"})
 
 
-def run_fresh(*args):
-    """The CLI in a fresh interpreter, so an uncaught exception would show
-    as a traceback."""
+def run_python(*args):
+    """A fresh interpreter that imports the package from src/."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [
         str(SRC), env.get("PYTHONPATH")]))
-    return subprocess.run(
-        [sys.executable, "-m", "qkzero.cli", *args],
-        capture_output=True, text=True, env=env, timeout=60)
+    return subprocess.run([sys.executable, *args],
+                          capture_output=True, text=True, env=env, timeout=60)
+
+
+def run_fresh(*args):
+    """The CLI in a fresh interpreter, so an uncaught exception would show
+    as a traceback."""
+    return run_python("-m", "qkzero.cli", *args)
 
 
 def run_cli(args, capsys):
@@ -453,6 +457,36 @@ def test_descendent_negative_power_exits_one(args, message, capsys):
     assert code == 1
     assert out == ""
     assert err.endswith(message)
+
+
+@pytest.mark.parametrize("batch,message", [
+    ([[0, 0, 0, 0], [1, 2]],
+     "error: batch entry 1 [1, 2]: need at least three marked points\n"),
+    ([[0, 0, 0], [2, 3, 0, 1], [1, -2, 3]],
+     "error: batch entry 2 [1, -2, 3]: cotangent powers must be non-negative\n"),
+], ids=["too-few-points", "negative-power"])
+def test_descendent_batch_error_names_the_entry(batch, message, tmp_path, capsys):
+    path = tmp_path / "batch.json"
+    path.write_text(json.dumps(batch))
+    report = tmp_path / "report.jsonl"
+    code, out, err = run_cli(
+        ["descendent", "--input", str(path), "--output", str(report)], capsys)
+    assert code == 1
+    assert out == ""
+    assert err == message
+    assert not report.exists()
+
+
+def test_import_loads_no_dataclasses_or_inspect():
+    # Each costs every command start-up time and memory.
+    probe = run_python(
+        "-c", "import json, sys; before = set(sys.modules); import qkzero.cli; "
+        "print(json.dumps(sorted(set(sys.modules) - before)))")
+    assert probe.returncode == 0, probe.stderr
+    added = json.loads(probe.stdout)
+    assert "qkzero.series" in added
+    assert "dataclasses" not in added
+    assert "inspect" not in added
 
 
 POINT_TABLE = str(DATA / "qde_point_perturbed_input.json")

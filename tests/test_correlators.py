@@ -14,9 +14,7 @@ from qkzero import (
     CorrelatorTable,
     DuplicateEntry,
     IneffectiveDegree,
-    ModuliNonexistent,
     SchemaError,
-    beta_zero_correlator,
     effective_degrees,
     euler_char_line_bundle,
     load_correlators,
@@ -24,6 +22,7 @@ from qkzero import (
     projective_space_kring,
     table_consistency_check,
 )
+from qkzero.correlators import degree_zero_chi, table_key
 
 from oracles import p2_line_bundle_kring
 
@@ -31,39 +30,42 @@ P1 = projective_space_kring(1)
 
 
 def test_beta_zero_point_values():
-    ring = point_kring()
+    chi = degree_zero_chi(point_kring())
     for n in range(3, 8):
-        assert beta_zero_correlator(ring, (0,) * n) == 1
+        assert chi((0,) * n) == 1
 
 
 def test_beta_zero_projective_values():
     # chi of a^m on the line: 1 for m <= 1, 0 after.
-    assert beta_zero_correlator(P1, (0, 0, 1)) == 1
-    assert beta_zero_correlator(P1, (1, 1, 0)) == 0
-    assert beta_zero_correlator(P1, (1, 1, 1)) == 0
-    p2 = projective_space_kring(2)
-    assert beta_zero_correlator(p2, (1, 1, 0)) == 1
-    assert beta_zero_correlator(p2, (1, 1, 1, 1)) == 0
+    chi = degree_zero_chi(P1)
+    assert chi((0, 0, 1)) == 1
+    assert chi((1, 1, 0)) == 0
+    assert chi((1, 1, 1)) == 0
+    chi = degree_zero_chi(projective_space_kring(2))
+    assert chi((1, 1, 0)) == 1
+    assert chi((1, 1, 1, 1)) == 0
 
 
 def test_beta_zero_needs_three_points():
-    with pytest.raises(ModuliNonexistent):
-        beta_zero_correlator(P1, (0, 1))
+    # No stable curve of degree zero has two points: the key is refused.
+    with pytest.raises(SchemaError, match="degree-zero entry with 2 points"):
+        table_key(P1.rank, 1, (0,), (0, 1))
 
 
 @pytest.mark.parametrize("insertions", [(0, 1, 2), (-1, 0, 0)])
 def test_beta_zero_rejects_out_of_range_insertion(insertions):
     with pytest.raises(ValueError, match="out of range"):
-        beta_zero_correlator(P1, insertions)
+        degree_zero_chi(P1)(insertions)
 
 
 @given(st.lists(st.integers(0, 2), min_size=3, max_size=6))
 @settings(max_examples=60, deadline=None)
 def test_beta_zero_symmetry(insertions):
+    # A fresh chi per order, so no cached product serves another order.
     p2 = projective_space_kring(2)
-    value = beta_zero_correlator(p2, insertions)
-    assert value == beta_zero_correlator(p2, tuple(reversed(insertions)))
-    assert value == beta_zero_correlator(p2, tuple(sorted(insertions)))
+    value = degree_zero_chi(p2)(insertions)
+    assert value == degree_zero_chi(p2)(tuple(reversed(insertions)))
+    assert value == degree_zero_chi(p2)(tuple(sorted(insertions)))
 
 
 def test_beta_zero_line_bundle_basis_matches_closed_form():
@@ -72,10 +74,11 @@ def test_beta_zero_line_bundle_basis_matches_closed_form():
     # O(-2) * O(-2) must all be carried.
     ring = p2_line_bundle_kring()
     assert ring.mult[2][2] == (3, -8, 6)
+    chi = degree_zero_chi(ring)
     for n in range(3, 7):
         for ins in combinations_with_replacement(range(3), n):
-            assert beta_zero_correlator(ring, ins) == euler_char_line_bundle(2, -sum(ins))
-    assert beta_zero_correlator(ring, (2,) * 5) == 36
+            assert chi(ins) == euler_char_line_bundle(2, -sum(ins))
+    assert chi((2,) * 5) == 36
 
 
 def test_effective_degrees_enumeration():

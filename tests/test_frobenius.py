@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations_with_replacement, permutations
 from math import factorial
@@ -210,7 +209,7 @@ def test_geometric_inverse_doubles_precision_per_round(monkeypatch):
     # of M at a time would take 63 matrix products; each Newton round
     # doubles the certified total degree for two.
     gm = quantized_metric(point_potential(63))
-    gm = gm.widened(replace(gm.spec, q_order=60))
+    gm = gm.widened(gm.spec.replace(q_order=60))
     budget = gm.spec.budget()
     assert budget == 121
     calls = []
@@ -336,7 +335,7 @@ def _bumped(fd, k, row, col):
     rows[row][col] = rows[row][col] + bump
     product = list(fd.product)
     product[k] = SeriesMatrix(tuple(map(tuple, rows)))
-    return replace(fd, product=tuple(product))
+    return fd.replace(product=tuple(product))
 
 
 def test_r1_detects_non_potential_family():

@@ -12,11 +12,11 @@ from qkzero import (
     InvalidPresentation,
     KRingPresentation,
     SchemaError,
-    beta_zero_correlator,
     euler_char_line_bundle,
     point_kring,
     projective_space_kring,
 )
+from qkzero.correlators import degree_zero_chi
 
 
 def test_line_bundle_euler_characteristics():
@@ -34,7 +34,7 @@ def test_point_ring():
     ring = point_kring()
     assert ring.rank == 1
     assert ring.pairing == ((Fraction(1),),)
-    assert beta_zero_correlator(ring, (0, 0, 0)) == 1
+    assert degree_zero_chi(ring)((0, 0, 0)) == 1
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -51,7 +51,7 @@ def test_projective_pairing_is_antitriangular(n):
 def test_projective_line_products_vanish_past_dimension():
     ring = projective_space_kring(1)
     assert ring.mult[1][1] == (Fraction(0), Fraction(0))
-    assert beta_zero_correlator(ring, (1, 1, 0)) == 0
+    assert degree_zero_chi(ring)((1, 1, 0)) == 0
 
 
 def test_json_round_trip():

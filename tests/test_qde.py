@@ -10,7 +10,6 @@ linearity predicts coefficient by coefficient.
 """
 
 import json
-from dataclasses import replace
 from fractions import Fraction
 from math import comb, factorial
 
@@ -130,7 +129,7 @@ def test_transposed_action_fails_equation():
     # the equation for any target of rank above one.
     t_order, q_order = 4, 2
     _, _, fd, solution = _projective_setup(1, t_order, q_order)
-    flipped = replace(fd, product=tuple(m.transpose() for m in fd.product))
+    flipped = fd.replace(product=tuple(m.transpose() for m in fd.product))
     summaries = qde_residual(solution, flipped)
     assert any(not s.is_zero for s in summaries)
 
@@ -286,11 +285,11 @@ def test_qde_check_and_frobenius_check_build_the_same_product(monkeypatch, capsy
 
 def test_product_carrying_q_rejected():
     _, _, fd, solution = _point_setup()
-    product = tuple(p.widened(replace(p.spec, q_order=M_POINT)) for p in fd.product)
+    product = tuple(p.widened(p.spec.replace(q_order=M_POINT)) for p in fd.product)
     with pytest.raises(TruncationMismatch, match="carries q"):
-        qde_residual(solution, replace(fd, product=product))
+        qde_residual(solution, fd.replace(product=product))
     with pytest.raises(TruncationMismatch, match="carries q"):
-        gwdvv_residuals(solution, replace(fd, product=product))
+        gwdvv_residuals(solution, fd.replace(product=product))
 
 
 def test_ring_mismatch_rejected():
@@ -319,7 +318,6 @@ def test_deeper_product_is_cut_to_the_solution_window():
 
 def test_incompleteness_detected_on_degenerate_matrix():
     ring, _, _, solution = _point_setup(t_order=3, q_order=1)
-    degenerate = replace(
-        solution, matrix=zero_matrix(solution.spec, ring.rank))
+    degenerate = solution.replace(matrix=zero_matrix(solution.spec, ring.rank))
     assert is_complete(solution)
     assert not is_complete(degenerate)
