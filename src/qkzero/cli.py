@@ -137,10 +137,9 @@ def cmd_descendent(args: argparse.Namespace) -> int:
                 any_irreducible = True
             except ValueError as exc:
                 raise ValueError(f"batch entry {position} {idx}: {exc}") from None
-            lines.append(json.dumps({"index": idx, "value": value},
-                                    sort_keys=True))
-        _write(args, "\n".join(lines) + "\n",
-               f"evaluated {len(batch)} descendent indices")
+            # A list of plain ints prints as JSON, so this is json.dumps's line.
+            lines.append('{"index": %s, "value": "%s"}\n' % (idx, value))
+        _write(args, "".join(lines), f"evaluated {len(batch)} descendent indices")
         return EXIT_NOT_REDUCIBLE if any_irreducible else EXIT_OK
     if args.index is None:
         raise ValueError("give an index like 2,3,0,1 or --input batch.json")

@@ -20,7 +20,9 @@ itself.
 Both identities are checked exactly on the largest window the two
 truncations certify jointly; the q window never shrinks because 1/(1-q)
 acts as a running sum in q, whose q^m coefficient reads only the known
-q^0..q^m coefficients.  The product is a function of t and Q alone: its
+q^0..q^m coefficients.  The connection residual reads S and (e_k *) S row
+by row and copies neither; only associativity differentiates S, at rank 2 or
+more.  The product is a function of t and Q alone: its
 spec must have q order 0 and the Novikov truncation of S (TruncationMismatch
 otherwise), and each residual lifts it into S's q window unchanged
 (SeriesMatrix.widened).  Only this module reads a descendent order.
@@ -28,7 +30,7 @@ otherwise), and each residual lifts it into S's q window unchanged
 
 from __future__ import annotations
 
-from functools import cached_property
+from math import lcm
 
 from .correlators import CorrelatorTable, degree_zero_chi, insertion_multisets
 from .errors import IncompleteTable, RingMismatch, TruncationMismatch
@@ -56,11 +58,6 @@ class QDESolution(Record):
     @property
     def spec(self) -> SeriesSpec:
         return self.matrix.spec
-
-    @cached_property
-    def partials(self) -> tuple[SeriesMatrix, ...]:
-        """dS/dt_k for every k, untruncated; shared by both residuals."""
-        return tuple(self.matrix.derivative(f"t{k}") for k in range(self.ring.rank))
 
 
 def assemble_fundamental_solution(table: CorrelatorTable, t_order: int,
@@ -136,22 +133,46 @@ def _aligned_window(solution: QDESolution, fd: FrobeniusData) -> int:
     return window
 
 
+def _connection_defect(s_ij: TruncatedSeries, p_ij: TruncatedSeries, k: int,
+                       window: SeriesSpec) -> TruncatedSeries:
+    """dS/dt_k - P/(1-q) on window, from one entry of S and of P = (e_k *) S.
+
+    Along each row of fixed t and Novikov exponents the q^m coefficient of
+    P/(1-q) is the running sum of P's q^0..q^m ones, and dS/dt_k at e is
+    (e_k + 1) S[e + t_k], read from the untruncated S.  Only rows holding a
+    term are walked and only nonzero coefficients stored: nothing is copied."""
+    nt, top = window.num_t, window.t_order
+    rows = {exp[:-1] for exp in p_ij.nums if sum(exp[:nt]) <= top}
+    rows.update(exp[:k] + (exp[k] - 1,) + exp[k + 1:-1] for exp in s_ij.nums
+                if exp[k] and sum(exp[:nt]) <= top + 1)
+    den = lcm(s_ij.den, p_ij.den)
+    s_scale, p_scale = den // s_ij.den, den // p_ij.den
+    s_get, p_get = s_ij.nums.get, p_ij.nums.get
+    out: dict[tuple[int, ...], int] = {}
+    for base in rows:
+        shifted = base[:k] + (base[k] + 1,) + base[k + 1:]
+        factor, total = (base[k] + 1) * s_scale, 0
+        for m in range(window.q_order + 1):
+            total += p_get(base + (m,), 0)
+            value = factor * s_get(shifted + (m,), 0) - p_scale * total
+            if value:
+                out[base + (m,)] = value
+    return TruncatedSeries.from_numerators(window, out, den)
+
+
 def qde_residual(solution: QDESolution, fd: FrobeniusData) -> list[ResidualSummary]:
     """dS/dt_k minus 1/(1-q) times (e_k *) S, one summary per k."""
-    window = _aligned_window(solution, fd)
-    # Truncate the product, not S: a copy of S would live through the loop.
+    window = solution.spec.truncated(t_order=_aligned_window(solution, fd))
+    # S is cut only to the product's order, so at full depth s is S itself.
     order = min(solution.spec.t_order, fd.product[0].spec.t_order)
     s = solution.matrix.truncated(t_order=order)
     summaries = []
-    for k, partial in enumerate(solution.partials):
-        ds = partial.truncated(t_order=window)
-        a = fd.product[k].truncated(t_order=order).widened(s.spec)
-        product = (a * s).truncated(t_order=window)
-        summed = SeriesMatrix(tuple(tuple(e.over_one_minus_q() for e in row)
-                                    for row in product.entries))
-        del product  # only its q-sums are read; kept, it adds a copy of S to the peak
-        summaries.append(residual_summary(matrix_pieces({"k": k}, ds - summed),
-                                          window_dict(ds.spec)))
+    for k, a in enumerate(fd.product):
+        p = a.truncated(t_order=order).widened(s.spec) * s
+        defect = SeriesMatrix(tuple(
+            tuple(_connection_defect(s_ij, p_ij, k, window) for s_ij, p_ij in zip(*rows))
+            for rows in zip(solution.matrix.entries, p.entries)))
+        summaries.append(residual_summary(matrix_pieces({"k": k}, defect), window_dict(window)))
     return summaries
 
 
@@ -163,7 +184,7 @@ def gwdvv_residuals(solution: QDESolution, fd: FrobeniusData
     rank = solution.ring.rank
     if rank < 2:
         return []
-    partials = [p.truncated(t_order=window) for p in solution.partials]
+    partials = [solution.matrix.derivative(f"t{k}").truncated(t_order=window) for k in range(rank)]
     a_trunc = [p.truncated(t_order=window).widened(partials[0].spec) for p in fd.product]
     summaries = []
     for j in range(rank):

@@ -28,6 +28,8 @@ class Record:
                   + "".join(f"    setattr(self, {name!r}, {name})\n" for name in fields)
                   + "    self.__post_init__()\n"
                   "def __eq__(self, other):\n"
+                  "    if other is self:\n"
+                  "        return True\n"
                   "    if other.__class__ is not self.__class__:\n"
                   "        return NotImplemented\n"
                   f"    return ({mine}) == ({mine.replace('self.', 'other.')})\n")

@@ -115,17 +115,15 @@ class SeriesSpec(Record):
 
     def truncated(self, t_order: int | None = None, novikov_order: int | None = None,
                   q_order: int | None = None) -> "SeriesSpec":
-        new = SeriesSpec(
-            self.num_t,
-            self.num_novikov,
-            self.t_order if t_order is None else t_order,
-            self.novikov_order if novikov_order is None else novikov_order,
-            self.q_order if q_order is None else q_order,
-        )
-        if (new.t_order > self.t_order or new.novikov_order > self.novikov_order
-                or new.q_order > self.q_order):
+        """The spec with the given orders lowered; self when none drops."""
+        t = self.t_order if t_order is None else t_order
+        n = self.novikov_order if novikov_order is None else novikov_order
+        q = self.q_order if q_order is None else q_order
+        if t > self.t_order or n > self.novikov_order or q > self.q_order:
             raise IncompatibleSeries("truncation can only lower orders")
-        return new
+        if t == self.t_order and n == self.novikov_order and q == self.q_order:
+            return self
+        return SeriesSpec(self.num_t, self.num_novikov, t, n, q)
 
     def budget(self) -> int:
         """Largest total degree any stored monomial can have."""
@@ -353,26 +351,6 @@ class TruncatedSeries(Record):
             if k:
                 out[exp[:pos] + (k - 1,) + exp[pos + 1 :]] = k * num
         return TruncatedSeries.from_numerators(spec, out, self.den)
-
-    def over_one_minus_q(self) -> "TruncatedSeries":
-        """Product with 1/(1-q), truncated to the window.
-
-        Terms sharing their t and Novikov exponents form one row in q; the
-        q^m coefficient of the product is the running sum of that row's
-        q^0..q^m coefficients, so only in-window terms are ever formed.
-        """
-        rows: dict[Exponent, dict[int, int]] = {}
-        for exp, num in self.nums.items():
-            rows.setdefault(exp[:-1], {})[exp[-1]] = num
-        out: dict[Exponent, int] = {}
-        top = self.spec.q_order
-        for base, row in rows.items():
-            total = 0
-            for m in range(min(row), top + 1):
-                total += row.get(m, 0)
-                if total:
-                    out[base + (m,)] = total
-        return TruncatedSeries.from_numerators(self.spec, out, self.den)
 
     def truncated(self, t_order: int | None = None, novikov_order: int | None = None,
                   q_order: int | None = None) -> "TruncatedSeries":

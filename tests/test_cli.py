@@ -4,6 +4,7 @@ Everything runs in process through main() so coverage and debugging stay
 simple; golden files pin the exact bytes of representative reports.
 """
 
+import importlib.util
 import json
 import os
 import shlex
@@ -15,7 +16,13 @@ from pathlib import Path
 
 import pytest
 
-from qkzero import SeriesMatrix, descendent_euler, point_kring, projective_space_kring
+from qkzero import (
+    NotReducible,
+    SeriesMatrix,
+    descendent_euler,
+    point_kring,
+    projective_space_kring,
+)
 from qkzero.cli import main
 from qkzero.correlators import CorrelatorTable
 
@@ -475,6 +482,49 @@ def test_descendent_batch_error_names_the_entry(batch, message, tmp_path, capsys
     assert out == ""
     assert err == message
     assert not report.exists()
+
+
+def test_empty_descendent_batch_writes_an_empty_report(tmp_path, capsys):
+    path = tmp_path / "batch.json"
+    path.write_text("[]")
+    code, out, err = run_cli(["descendent", "--input", str(path)], capsys)
+    assert (code, out, err) == (0, "", "evaluated 0 descendent indices\n")
+    report = tmp_path / "report.jsonl"
+    code, out, err = run_cli(
+        ["descendent", "--input", str(path), "--output", str(report)], capsys)
+    assert (code, out, err) == (0, "", "evaluated 0 descendent indices\n")
+    assert report.read_bytes() == b""
+
+
+def _benchmark_batch(seed):
+    """The descendent batch the benchmark generates for seed."""
+    location = SRC.parent / "perfbench" / "gen.py"
+    spec = importlib.util.spec_from_file_location("perfbench_gen", location)
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    return gen.descendent_batch(seed)
+
+
+@pytest.mark.parametrize("make_batch", [
+    lambda: _benchmark_batch(7),
+    lambda: [[0, 0, 0, 10**39 + 7], [1, 0, 1, 0, 3 * 10**39],
+             [0, 1, 2 * 10**39, 10**40 - 1, 0], [2, 2, 2, 2]],
+], ids=["seed-7", "40-digit-powers"])
+def test_batch_lines_are_json_dumps_byte_for_byte(make_batch, tmp_path, capsys):
+    batch = make_batch()
+    path = tmp_path / "batch.json"
+    path.write_text(json.dumps(batch))
+    report = tmp_path / "report.jsonl"
+    code, _, _ = run_cli(["descendent", "--input", str(path), "--output", str(report)], capsys)
+    expected = []
+    for idx in batch:
+        try:
+            value = str(descendent_euler(idx))
+        except NotReducible:
+            value = "NotReducible"
+        expected.append(json.dumps({"index": idx, "value": value}, sort_keys=True) + "\n")
+    assert code == (2 if "NotReducible" in "".join(expected) else 0)
+    assert report.read_bytes() == "".join(expected).encode()
 
 
 def test_import_loads_no_dataclasses_or_inspect():

@@ -10,6 +10,7 @@ linearity predicts coefficient by coefficient.
 """
 
 import json
+import tracemalloc
 from fractions import Fraction
 from math import comb, factorial
 
@@ -32,14 +33,16 @@ from qkzero import (
     quantized_metric,
     ring_from_target,
 )
-from qkzero import cli
+from qkzero import SeriesMatrix, TruncatedSeries, cli
 from qkzero.cli import main
+from qkzero.frobenius import matrix_pieces, residual_summary, window_dict
 
 from oracles import (
     degree_zero_descendent_table,
     geometric_q,
     integrate_point_qde,
     monomial,
+    naive_connection_defect,
     p2_line_bundle_kring,
     zero_matrix,
 )
@@ -321,3 +324,67 @@ def test_incompleteness_detected_on_degenerate_matrix():
     degenerate = solution.replace(matrix=zero_matrix(solution.spec, ring.rank))
     assert is_complete(solution)
     assert not is_complete(degenerate)
+
+
+def _oracle_qde_summaries(solution, fd):
+    """qde_residual composed from the term-by-term oracles: dS/dt_k on the
+    joint window minus the running q-sum of (e_k *) S truncated to it."""
+    window = min(solution.spec.t_order - 1, fd.product[0].spec.t_order)
+    spec = solution.spec.truncated(t_order=window)
+    s = solution.matrix.truncated(t_order=window)
+    summaries = []
+    for k, a in enumerate(fd.product):
+        p = a.truncated(t_order=window).widened(spec) * s
+        defect = SeriesMatrix(tuple(
+            tuple(TruncatedSeries(spec, naive_connection_defect(s_ij, p_ij, k, spec))
+                  for s_ij, p_ij in zip(*rows))
+            for rows in zip(solution.matrix.entries, p.entries)))
+        summaries.append(residual_summary(matrix_pieces({"k": k}, defect), window_dict(spec)))
+    return summaries
+
+
+@pytest.mark.parametrize("nproj", [1, 2])
+@pytest.mark.parametrize("extra", [3, 1])
+def test_perturbed_solution_residual_matches_oracle_witness(nproj, extra):
+    """S perturbed on several entries, among them terms of the top t degree,
+    which only dS/dt_k reads.  With extra = 1 the product is certified two
+    orders below S, so the window stops below S's t order minus one, and the
+    derivative must still read S's untruncated layer just above it."""
+    t_order, q_order = 5 - nproj, 3
+    ring, table, _, solution = _projective_setup(nproj, t_order, q_order)
+    fd = build_frobenius_data(assemble_potential(table, t_order + extra, 0))
+    window = min(t_order - 1, fd.product[0].spec.t_order)
+    spec = solution.spec
+    kicks = {(0, 1): monomial(spec, {"t1": window + 1, "q": 1}, Fraction(2, 5)),
+             (1, 0): monomial(spec, {"t0": 1, "t1": 1}, Fraction(-3, 7)),
+             (1, 1): monomial(spec, {"t0": t_order, "q": 2}, Fraction(1, 9))}
+    rows = tuple(tuple(entry + kicks[i, j] if (i, j) in kicks else entry
+                       for j, entry in enumerate(row))
+                 for i, row in enumerate(solution.matrix.entries))
+    bad = solution.replace(matrix=SeriesMatrix(rows))
+    summaries = qde_residual(bad, fd)
+    assert summaries == _oracle_qde_summaries(bad, fd)
+    assert [s.window["t"] for s in summaries] == [window] * ring.rank
+    # Every kick moves dS/dt_0 and dS/dt_1.
+    assert all(not s.is_zero and s.witness is not None for s in summaries[:2])
+    assert qde_residual(solution, fd) == _oracle_qde_summaries(solution, fd)
+
+
+def test_connection_residual_copies_nothing_of_the_solution():
+    """On the point at 40/40, (e_0 *) S is S itself; the residual reads it
+    in place, so its traced peak stays below a quarter of S's own size
+    (one copy of S, or of a q-summed product, would exceed it)."""
+    table = CorrelatorTable.empty(point_kring(), 0, {"type": "point"})
+    fd = build_frobenius_data(assemble_potential(table, 43, 0))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        solution = assemble_fundamental_solution(table, 40, 0, 40)
+        start = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        summaries = qde_residual(solution, fd)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert summaries[0].is_zero
+    assert peak - start < (start - before) / 4

@@ -27,11 +27,13 @@ from qkzero import (
     projective_space_kring,
     qde_residual,
 )
+from qkzero.qde import _connection_defect
 from oracles import (
     NotInvertible,
     geometric_q,
     matrix_inverse_direct,
     monomial,
+    naive_connection_defect,
     naive_derivative,
     naive_over_one_minus_q,
     naive_product,
@@ -264,7 +266,7 @@ def test_product_with_cancelling_unit_coefficients_matches_oracle(operands):
     _assert_kernel_matches_oracle(*operands)
 
 
-# -- 1/(1-q) as a running q-sum against the geometric product ----------------
+# -- the QDE's connection defect dS/dt_k - P/(1-q): a running q-sum ----------
 
 NO_Q_SPEC = SeriesSpec(num_t=1, num_novikov=1, t_order=3, novikov_order=2, q_order=0)
 LONG_Q_SPEC = SeriesSpec(num_t=1, num_novikov=1, t_order=1, novikov_order=1, q_order=5)
@@ -286,9 +288,11 @@ def _long_q_rows(spec: SeriesSpec):
 @example(TruncatedSeries(LONG_Q_SPEC, {(1, 0, 0): 1, (1, 0, 2): -1, (1, 0, 4): 3}))
 @example(TruncatedSeries(NO_Q_SPEC, {(2, 1, 0): Fraction(-2, 3), (0, 0, 0): 1}))
 @settings(max_examples=100, deadline=None)
-def test_over_one_minus_q_matches_geometric_product(x):
-    result = x.over_one_minus_q()
-    assert result == x * geometric_q(x.spec)
+def test_connection_defect_of_constant_solution_is_minus_the_geometric_product(x):
+    # A constant S has no t derivative, so the defect is -P/(1-q) for P = x.
+    constant = TruncatedSeries.constant(x.spec, Fraction(5, 3))
+    result = _connection_defect(constant, x, 0, x.spec)
+    assert result == -(x * geometric_q(x.spec))
     assert result.spec == x.spec
     for exp, value in result.coeffs.items():
         assert type(exp) is tuple and x.spec.admits(exp)
@@ -484,7 +488,8 @@ def test_every_operation_returns_canonical_numerators_matching_fractions(pair, s
         (a * b, naive_product(a, b).coeffs),
         (a.derivative("t0"), naive_derivative(a, "t0")),
         (a.derivative("q"), naive_derivative(a, "q")),
-        (a.over_one_minus_q(), naive_over_one_minus_q(a)),
+        (_connection_defect(TruncatedSeries.zero(spec), a, 0, spec),
+         {exp: -v for exp, v in naive_over_one_minus_q(a).items()}),
         (a.truncated(t_order=1, q_order=0),
          {exp: v for exp, v in a.coeffs.items()
           if spec.truncated(t_order=1, q_order=0).admits(exp)}),
@@ -493,6 +498,23 @@ def test_every_operation_returns_canonical_numerators_matching_fractions(pair, s
         _assert_canonical(result)
         assert result.coeffs == expected
         assert all(type(v) is Fraction for v in result.coeffs.values())
+
+
+@given(_mixed_pair(), st.data())
+@settings(max_examples=120, deadline=None)
+def test_connection_defect_matches_oracle_composition(pair, data):
+    """S and P over mixed denominators, with Novikov variables and two t
+    variables; P's second operand often cancels S's terms, and the window
+    reaches up to one below S's t order, so the top layer of S is read."""
+    s, p = pair
+    spec = s.spec
+    k = data.draw(st.integers(0, spec.num_t - 1))
+    window = spec.truncated(t_order=data.draw(st.integers(0, spec.t_order - 1)))
+    for left, right in ((s, p), (p, s), (s, s)):
+        result = _connection_defect(left, right, k, window)
+        _assert_canonical(result)
+        assert result.spec == window
+        assert result.coeffs == naive_connection_defect(left, right, k, window)
 
 
 @given(_mixed_pair())
@@ -624,6 +646,17 @@ def test_truncating_to_the_same_orders_returns_the_series_itself():
     assert a.truncated(t_order=4, novikov_order=0, q_order=0) is a
     lower = a.truncated(t_order=2)
     assert lower is not a and lower == exp_series(SPEC1.truncated(t_order=2), 2)
+
+
+def test_truncating_a_spec_to_its_own_orders_returns_the_spec_itself():
+    spec = SMALL_SPEC
+    assert spec.truncated() is spec
+    assert spec.truncated(t_order=3, novikov_order=2, q_order=1) is spec
+    lower = spec.truncated(q_order=0)
+    assert lower is not spec
+    assert lower == SeriesSpec(2, 1, 3, 2, 0) and lower.truncated(q_order=0) is lower
+    with pytest.raises(IncompatibleSeries):
+        spec.truncated(novikov_order=3)
 
 
 # -- inverse route equivalence ------------------------------------------------
