@@ -110,18 +110,12 @@ def build_frobenius_data(potential: Potential) -> FrobeniusData:
     """Full pipeline from a potential: G, G^{-1}, dG/dt_k and the product
     matrices third[k] * G^{-1}, one per basis class.
 
-    The inverse metric comes from Newton's iteration on windows of doubling
-    degree, certified by the exact product G * G^{-1} = I on the full window.
-    Monomials outside the window form an ideal, so truncated series form a
-    commutative ring, where a one-sided inverse of a square matrix is
-    two-sided: the check is a proof, given correct multiplication.
+    The inverse metric arrives certified: matrix_inverse_geometric returns
+    only once Newton's error proves G * G^{-1} = I exactly on the full
+    window, and raises ArithmeticError otherwise.
     """
     gmetric = quantized_metric(potential)
     ginv = matrix_inverse_geometric(gmetric)
-    if gmetric * ginv != SeriesMatrix.identity(gmetric.spec, gmetric.dimension):
-        raise ArithmeticError(
-            "G * G^-1 is not the identity; the inverse or the series "
-            "arithmetic is wrong")
     third = tuple(gmetric.derivative(f"t{k}") for k in range(gmetric.dimension))
     ginv3 = ginv.truncated(t_order=third[0].spec.t_order)
     return FrobeniusData(
@@ -233,8 +227,10 @@ class FlatnessReport(Record):
 def flatness_residuals(fd: FrobeniusData) -> FlatnessReport:
     """R1, R2 and the metric curvature of A_k = product[k]^T, and the
     Levi-Civita family dG/dt_k - sym(product[k] * G).  The last vanishes on
-    all build_frobenius_data output, whatever the table: the certificate
-    makes product[k] * G equal dG/dt_k, which is symmetric."""
+    all build_frobenius_data output, whatever the table: the certified
+    inverse makes product[k] * G equal dG/dt_k, which is symmetric.  On
+    that output R1, R2 and the metric curvature repeat WDVV: r1 = -r2 and
+    metric = 3/4 r2 on the T-4 window, so they fail only when WDVV does."""
     rank = fd.ring.rank
     spec3 = fd.product[0].spec
     spec4 = spec3.truncated(t_order=spec3.t_order - 1)

@@ -111,17 +111,17 @@ class KRingPresentation(Record):
             raise SchemaError("labels must be a list of strings")
         if type(doc["rank"]) is not int or doc["rank"] != len(labels):
             raise SchemaError("rank does not match number of labels")
-        try:
-            mult = tuple(
-                tuple(tuple(parse_rational(x) for x in row) for row in plane)
-                for plane in doc["mult"]
-            )
-            pairing = tuple(
-                tuple(parse_rational(x) for x in row) for row in doc["pairing"]
-            )
-        except TypeError as exc:
-            raise SchemaError(f"malformed tensor: {exc}") from exc
-        return cls(tuple(labels), mult, pairing)
+        return cls(tuple(labels), _tensor(doc["mult"], 3), _tensor(doc["pairing"], 2))
+
+
+def _tensor(value: object, depth: int) -> tuple:
+    """Rationals nested in JSON arrays depth levels deep; a string is not an
+    array of its characters."""
+    if not isinstance(value, list):
+        raise SchemaError(f"malformed tensor: expected an array, got {value!r}")
+    if depth == 1:
+        return tuple(parse_rational(x) for x in value)
+    return tuple(_tensor(x, depth - 1) for x in value)
 
 
 def point_kring() -> KRingPresentation:

@@ -179,12 +179,15 @@ def qde_residual(solution: QDESolution, fd: FrobeniusData) -> list[ResidualSumma
 def gwdvv_residuals(solution: QDESolution, fd: FrobeniusData
                     ) -> list[tuple[tuple[int, int], ResidualSummary]]:
     """(e_j *) dS/dt_k - (e_k *) dS/dt_j for every pair j < k; generalized
-    associativity holds exactly when all of them vanish."""
+    associativity holds exactly when all of them vanish.  S is cut to one t
+    order above the window before each derivative, so no cut copy outlives
+    the derivative taken from it."""
     window = _aligned_window(solution, fd)
     rank = solution.ring.rank
     if rank < 2:
         return []
-    partials = [solution.matrix.derivative(f"t{k}").truncated(t_order=window) for k in range(rank)]
+    partials = [solution.matrix.truncated(t_order=window + 1).derivative(f"t{k}")
+                for k in range(rank)]
     a_trunc = [p.truncated(t_order=window).widened(partials[0].spec) for p in fd.product]
     summaries = []
     for j in range(rank):

@@ -492,36 +492,35 @@ class SeriesMatrix(Record):
     def constant_matrix(self) -> tuple[tuple[Fraction, ...], ...]:
         return tuple(tuple(entry.constant_term for entry in row) for row in self.entries)
 
-    def is_zero(self) -> bool:
-        return all(entry.is_zero() for row in self.entries for entry in row)
-
 
 def matrix_inverse_geometric(mat: SeriesMatrix) -> SeriesMatrix:
-    """Invert G by Newton's iteration X <- X + X (I - G X) from X = g^-1,
-    g the constant term; each round squares the error I - G X.
+    """Invert G by Newton's iteration X <- X + X E, E = I - G X, from X = g^-1,
+    g the constant term; each round squares the error: I - G X' = E^2.
 
     Round i runs with every group order capped at 2^i - 1.  X is widened as
     is, since its terms all lie in the new window; the terms it lacks have
-    total degree >= 2^(i-1), where the error starts, so the error stays
-    there and the round doubles it.  Capped windows admit higher
-    total degrees, so the loop stops at the full window only once I - G X
-    is zero, or after the round where 2^i exceeds the budget: at most
-    bit_length(budget) rounds of two products.  Raises SingularMetric
-    when g is singular.
+    total degree >= 2^(i-1), where E starts, so E stays there and the round
+    doubles it.  The stop test is the certificate: on the full window, once
+    E has no term of total degree <= budget/2, E^2 has none in the window,
+    so G X' = I exactly and X' is the inverse, two-sided since truncated
+    series form a commutative ring.  With a correct multiply that holds by
+    the round where 2^i exceeds the budget; ArithmeticError if it does not.
+    Raises SingularMetric when g is singular.
     """
     g_inv = try_rational_inverse(mat.constant_matrix())
     if g_inv is None:
         raise SingularMetric("constant term of the matrix is singular")
-    spec, size = mat.spec, 1
+    spec, size, budget = mat.spec, 1, mat.spec.budget()
     x = SeriesMatrix(tuple(tuple(TruncatedSeries.constant(spec, v) for v in row)
                            for row in g_inv))
-    while size <= spec.budget():
+    while size <= max(budget, 1):
         size *= 2
         g = mat.truncated(*(min(order, size - 1) for order in
                             (spec.t_order, spec.novikov_order, spec.q_order)))
         x = x.widened(g.spec)
         error = SeriesMatrix.identity(g.spec, mat.dimension) - g * x
-        if g.spec == spec and error.is_zero():
-            break
         x = x + x * error
-    return x
+        if g.spec == spec and all(2 * sum(exp) > budget for row in error.entries
+                                  for entry in row for exp in entry.nums):
+            return x
+    raise ArithmeticError("Newton's iteration certified no inverse; the multiply is wrong")

@@ -334,14 +334,37 @@ def test_table_check_non_list_field_exits_one_without_traceback(tmp_path, field,
     ["descendent", "--input", "{path}"],
     ["kring", "info", "--target", "custom:{path}"],
 ])
-def test_deeply_nested_json_exits_one_without_traceback(tmp_path, args):
+def test_deeply_nested_json_exits_one_without_traceback(tmp_path, args, capsys):
     path = tmp_path / "deep.json"
     path.write_text("[" * 100000 + "]" * 100000)
-    proc = run_fresh(*(arg.format(path=path) for arg in args))
+    args = [arg.format(path=path) for arg in args]
+    proc = run_fresh(*args)
     assert proc.returncode == 1
     assert proc.stdout == ""
     assert "Traceback" not in proc.stderr
     assert proc.stderr == f"error: {path}: JSON nested too deeply\n"
+    assert run_cli(args, capsys) == (1, "", proc.stderr)
+
+
+@pytest.mark.parametrize("field,rows,row", [
+    ("pairing", ["11", "10"], "11"),
+    ("mult", [["10", "01"], [["0/1", "1/1"], ["0/1", "0/1"]]], "10"),
+], ids=["pairing", "mult"])
+def test_string_tensor_rows_exit_one_without_traceback(tmp_path, field, rows, row):
+    # Read as digit lists, both rows would load as P^1's own.
+    ring = {**projective_space_kring(1).to_json_dict(), field: rows}
+    ring_path = tmp_path / "ring.json"
+    ring_path.write_text(json.dumps(ring))
+    table_path = tmp_path / "table.json"
+    table_path.write_text(json.dumps({
+        "target": {"type": "custom", "ring": ring}, "degree_rank": 0,
+        "correlators": [], "descendent_correlators": []}))
+    for args in (["kring", "info", "--target", f"custom:{ring_path}"],
+                 ["frobenius-check", "--target", f"custom:{ring_path}"],
+                 ["table-check", "--input", str(table_path)]):
+        proc = run_fresh(*args)
+        assert (proc.returncode, proc.stdout) == (1, ""), args
+        assert proc.stderr == f"error: malformed tensor: expected an array, got {row!r}\n"
 
 
 def test_table_check_requires_input(capsys):

@@ -124,6 +124,31 @@ def test_load_rejects_duplicate_after_sorting():
          {"beta": [1], "insertions": [1, 0], "value": "2/1"}])
     with pytest.raises(DuplicateEntry):
         load_correlators(doc)
+    marked = {"beta": [1], "insertions": [0, 1], "marked": {"class": 1, "power": 2},
+              "value": "1/1"}
+    doc = _p1_table_doc([], [marked, {**marked, "insertions": [1, 0]}])
+    with pytest.raises(DuplicateEntry, match="duplicate descendent key"):
+        load_correlators(doc)
+
+
+@pytest.mark.parametrize("doc,message", [
+    ([], "correlator document must be an object"),
+    ({**_p1_table_doc([]), "target": "point"}, "target must be an object"),
+    ({**_p1_table_doc([]), "target": {"type": "custom"}}, "needs an embedded 'ring'"),
+    ({**_p1_table_doc([]), "target": {"type": "torus"}}, "unknown target type 'torus'"),
+    (_p1_table_doc([{"beta": [1], "insertions": [0, 1]}]), "malformed correlator entry"),
+    (_p1_table_doc([[1]]), "malformed correlator entry"),
+    (_p1_table_doc([], [{"beta": [1], "insertions": [1], "value": "1/1"}]),
+     "malformed descendent entry"),
+    (_p1_table_doc([], [{"beta": [1], "insertions": [1], "value": "1/1",
+                         "marked": {"class": 0}}]), "must give 'class' and 'power'"),
+    (_p1_table_doc([], [{"beta": [1], "insertions": [1], "value": "1/1",
+                         "marked": [0, 2]}]), "must give 'class' and 'power'"),
+], ids=["document", "target", "custom-without-ring", "target-type", "plain-entry",
+        "plain-entry-list", "descendent-entry", "marked-power-missing", "marked-list"])
+def test_load_rejects_malformed_documents(doc, message):
+    with pytest.raises(SchemaError, match=message):
+        load_correlators(doc)
 
 
 def test_load_rejects_beta_zero_with_two_points():

@@ -9,7 +9,6 @@ from math import factorial
 import pytest
 
 import qkzero.correlators as correlators
-import qkzero.frobenius as frobenius
 from qkzero import (
     CorrelatorTable,
     IncompleteTable,
@@ -227,18 +226,45 @@ def test_geometric_inverse_doubles_precision_per_round(monkeypatch):
 
 
 def test_build_rejects_inverse_failing_certificate(monkeypatch):
-    # One wrong coefficient at the top of the window, the order an inverse
-    # summed from too few geometric terms would get wrong.
-    def wrong_inverse(mat):
-        rows = [list(row) for row in matrix_inverse_geometric(mat).entries]
-        rows[1][0] = rows[1][0] + monomial(
-            mat.spec, {"t0": mat.spec.t_order}, Fraction(1, 7))
-        return SeriesMatrix(tuple(map(tuple, rows)))
+    # A multiply that adds t0 to every product of two non-monomials: Newton's
+    # error keeps a degree-1 term, so the loop may never certify an inverse.
+    # It must raise, not loop on or hand build an uncertified inverse.
+    mul = TruncatedSeries.__mul__
 
-    monkeypatch.setattr(frobenius, "matrix_inverse_geometric", wrong_inverse)
-    table = empty_table(P1, 1, {"type": "projective", "n": 1})
-    with pytest.raises(ArithmeticError):
-        build_frobenius_data(assemble_potential(table, 6, 0))
+    def broken(self, other):
+        out = mul(self, other)
+        if isinstance(other, TruncatedSeries) and len(self.nums) > 1 < len(other.nums):
+            out = out + monomial(out.spec, {"t0": 1})
+        return out
+
+    monkeypatch.setattr(TruncatedSeries, "__mul__", broken)
+    for ring, n, t_order in ((P1, 1, 6), (P2, 2, 8)):
+        table = empty_table(ring, 1, {"type": "projective", "n": n})
+        with pytest.raises(ArithmeticError, match="Newton"):
+            build_frobenius_data(assemble_potential(table, t_order, 0))
+
+
+def test_build_multiplies_no_more_than_newton_and_the_product(monkeypatch):
+    # The inverse's stop test is its certificate: no G * G^-1 follows it.
+    # Newton takes two products per round (6 rounds on the point at T 63,
+    # 3 on P^4 at T 8), then one product[k] per basis class.
+    calls = []
+    mul = SeriesMatrix.__mul__
+
+    def counted(self, other):
+        calls.append(None)
+        return mul(self, other)
+
+    monkeypatch.setattr(SeriesMatrix, "__mul__", counted)
+    for ring, target, t_order, expected in (
+            (POINT, {"type": "point"}, 63, 13),
+            (projective_space_kring(4), {"type": "projective", "n": 4}, 8, 11)):
+        calls.clear()
+        degree_rank = 0 if ring is POINT else 1
+        fd = build_frobenius_data(assemble_potential(
+            empty_table(ring, degree_rank, target), t_order, 0))
+        assert len(calls) == expected
+        assert fd.ginv == matrix_inverse_direct(fd.gmetric)
 
 
 def test_positive_degree_demands_table_data():
@@ -375,3 +401,33 @@ def test_levi_civita_detects_product_not_built_from_the_metric():
     assert lc.witness["indices"] == [0, 0, 1]
     assert lc.witness["monomial"] == {"t0": 1}
     assert lc.witness["value"] == "-1/2"
+
+
+@pytest.mark.parametrize("n,insertions,value,t_order,reported", [
+    (1, (0, 1, 1, 1), Fraction(1, 5), 7, None),
+    (2, (1, 1, 2, 2), Fraction(3, 7), 8,
+     (Fraction(45, 49), Fraction(90, 49), Fraction(135, 196))),
+])
+def test_flatness_families_repeat_wdvv(n, insertions, value, t_order, reported):
+    # On build_frobenius_data output act_k = G^-1 dG/dt_k, so
+    # R1 = -R2 on the T - 4 window and the metric curvature -R1/2 + R2/4
+    # is 3/4 R2 there: all three fail exactly when WDVV does.
+    table = empty_table(projective_space_kring(n), 1, {"type": "projective", "n": n})
+    fd = build_frobenius_data(assemble_potential(
+        table.with_entry((0,), insertions, value), t_order, 0))
+    assert not wdvv_residual(fd).is_zero
+    act = [p.transpose() for p in fd.product]
+    window = t_order - 4
+    for i in range(n + 1):
+        for j in range(i + 1, n + 1):
+            r1 = act[j].derivative(f"t{i}") - act[i].derivative(f"t{j}")
+            r2 = (act[i] * act[j] - act[j] * act[i]).truncated(t_order=window)
+            assert r1 == r2.scaled(-1)
+    flat = flatness_residuals(fd)
+    assert not flat.r1.is_zero
+    assert flat.metric.max_abs == Fraction(3, 4) * flat.r1.max_abs
+    assert Fraction(flat.metric.witness.pop("value")) == \
+        Fraction(-3, 4) * Fraction(flat.r1.witness.pop("value"))
+    assert flat.metric.witness == flat.r1.witness
+    if reported:
+        assert (flat.r1.max_abs, flat.r2.max_abs, flat.metric.max_abs) == reported

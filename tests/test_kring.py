@@ -72,7 +72,43 @@ def test_json_rejects_rank_mismatch():
             KRingPresentation.from_json_dict(doc)
 
 
+def _p1_doc(**changes):
+    return {**projective_space_kring(1).to_json_dict(), **changes}
+
+
+@pytest.mark.parametrize("doc,message", [
+    ([], "ring document must be an object"),
+    ({"rank": 1, "labels": ["e0"], "mult": [[["1/1"]]]}, r"missing fields: \['pairing'\]"),
+    (_p1_doc(labels=[0, 1]), "labels must be a list of strings"),
+    (_p1_doc(labels="e0"), "labels must be a list of strings"),
+    (_p1_doc(mult=5), "malformed tensor: expected an array, got 5"),
+    (_p1_doc(pairing=[["1/1", "1/1"], 7]), "malformed tensor: expected an array, got 7"),
+    (_p1_doc(pairing=[[1, 1], [1, 0]]), "rational values must look like p/q"),
+    # A string row would otherwise read as its digits: this pairing and
+    # unit plane load as P^1's.
+    (_p1_doc(pairing=["11", "10"]), "malformed tensor: expected an array, got '11'"),
+    (_p1_doc(mult=[["10", "01"], [["0/1", "1/1"], ["0/1", "0/1"]]]),
+     "malformed tensor: expected an array, got '10'"),
+], ids=["document", "missing", "label-ints", "labels-string", "mult-int", "pairing-row-int",
+        "pairing-ints", "pairing-string-rows", "mult-string-rows"])
+def test_json_rejects_malformed_ring_document(doc, message):
+    with pytest.raises(SchemaError, match=message):
+        KRingPresentation.from_json_dict(doc)
+
+
 # -- constructor gates --------------------------------------------------------
+
+
+def test_rejects_empty_basis_and_misshapen_tensors():
+    ring = projective_space_kring(1)
+    with pytest.raises(InvalidPresentation, match="empty basis"):
+        KRingPresentation((), (), ())
+    with pytest.raises(InvalidPresentation, match="rank x rank x rank"):
+        KRingPresentation(ring.labels, ring.mult[:1], ring.pairing)
+    with pytest.raises(InvalidPresentation, match="rank x rank x rank"):
+        KRingPresentation(ring.labels, (ring.mult[0], ring.mult[1][:1]), ring.pairing)
+    with pytest.raises(InvalidPresentation, match="pairing must be rank x rank"):
+        KRingPresentation(ring.labels, ring.mult, (ring.pairing[0], ring.pairing[1][:1]))
 
 
 def _mutate_mult(ring: KRingPresentation, i: int, j: int, k: int,

@@ -295,6 +295,18 @@ def test_product_carrying_q_rejected():
         gwdvv_residuals(solution, fd.replace(product=product))
 
 
+def test_unalignable_truncations_rejected():
+    ring, table, fd, solution = _point_setup()
+    deep = build_frobenius_data(assemble_potential(table, T_POINT + 3, 1))
+    for check in (qde_residual, gwdvv_residuals):
+        with pytest.raises(TruncationMismatch, match="Novikov truncations differ"):
+            check(solution, deep)
+    flat = assemble_fundamental_solution(table, 0, 0, M_POINT)
+    for check in (qde_residual, gwdvv_residuals):
+        with pytest.raises(TruncationMismatch, match="no common t window"):
+            check(flat, fd)
+
+
 def test_ring_mismatch_rejected():
     _, _, _, point_solution = _point_setup(t_order=4, q_order=2)
     _, _, p1_fd, _ = _projective_setup(1, 4, 2)
@@ -343,13 +355,28 @@ def _oracle_qde_summaries(solution, fd):
     return summaries
 
 
+def _oracle_gwdvv_summaries(solution, fd):
+    """gwdvv_residuals from whole partials, each differentiated from all of
+    S and then cut to the joint window."""
+    window = min(solution.spec.t_order - 1, fd.product[0].spec.t_order)
+    rank = solution.ring.rank
+    partials = [solution.matrix.derivative(f"t{k}").truncated(t_order=window)
+                for k in range(rank)]
+    a = [p.truncated(t_order=window).widened(partials[0].spec) for p in fd.product]
+    return [((j, k), residual_summary(
+        matrix_pieces({"pair": [j, k]}, a[j] * partials[k] - a[k] * partials[j]),
+        window_dict(partials[0].spec)))
+        for j in range(rank) for k in range(j + 1, rank)]
+
+
 @pytest.mark.parametrize("nproj", [1, 2])
 @pytest.mark.parametrize("extra", [3, 1])
-def test_perturbed_solution_residual_matches_oracle_witness(nproj, extra):
+def test_perturbed_solution_residual_matches_oracle_witness(nproj, extra, monkeypatch):
     """S perturbed on several entries, among them terms of the top t degree,
     which only dS/dt_k reads.  With extra = 1 the product is certified two
     orders below S, so the window stops below S's t order minus one, and the
-    derivative must still read S's untruncated layer just above it."""
+    derivative must still read S's untruncated layer just above it, while
+    the associativity residual differentiates S only up to that layer."""
     t_order, q_order = 5 - nproj, 3
     ring, table, _, solution = _projective_setup(nproj, t_order, q_order)
     fd = build_frobenius_data(assemble_potential(table, t_order + extra, 0))
@@ -368,6 +395,18 @@ def test_perturbed_solution_residual_matches_oracle_witness(nproj, extra):
     # Every kick moves dS/dt_0 and dS/dt_1.
     assert all(not s.is_zero and s.witness is not None for s in summaries[:2])
     assert qde_residual(solution, fd) == _oracle_qde_summaries(solution, fd)
+    expected = _oracle_gwdvv_summaries(bad, fd)
+    assert any(not s.is_zero for _, s in expected)
+    orders = []
+    derivative = SeriesMatrix.derivative
+
+    def recorded(self, var):
+        orders.append(self.spec.t_order)
+        return derivative(self, var)
+
+    monkeypatch.setattr(SeriesMatrix, "derivative", recorded)
+    assert gwdvv_residuals(bad, fd) == expected
+    assert orders == [window + 1] * ring.rank
 
 
 def test_connection_residual_copies_nothing_of_the_solution():

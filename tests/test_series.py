@@ -26,6 +26,7 @@ from qkzero import (
     point_kring,
     projective_space_kring,
     qde_residual,
+    try_rational_inverse,
 )
 from qkzero.qde import _connection_defect
 from oracles import (
@@ -116,6 +117,15 @@ def test_arithmetic_requires_identical_spec():
         a + b
     with pytest.raises(IncompatibleSeries):
         a * b
+    with pytest.raises(IncompatibleSeries, match="matrix entries disagree on spec"):
+        SeriesMatrix(((a, a), (a, b)))
+    with pytest.raises(IncompatibleSeries, match="matrix specs differ"):
+        SeriesMatrix(((a,),)) + SeriesMatrix(((b,),))
+    with pytest.raises(IncompatibleSeries, match="matrix dimensions differ"):
+        SeriesMatrix(((a,),)) * SeriesMatrix.identity(a.spec, 2)
+    for rows in ((), ((a, a),), ((a,), (a,))):
+        with pytest.raises(ValueError, match="square and non-empty"):
+            SeriesMatrix(rows)
 
 
 def test_truncation_only_lowers():
@@ -127,6 +137,8 @@ def test_truncation_only_lowers():
 def test_negative_exponents_rejected():
     with pytest.raises(ValueError):
         TruncatedSeries(SPEC1, {(-1, 0): Fraction(1)})
+    with pytest.raises(ValueError, match="wrong length"):
+        TruncatedSeries(SPEC1, {(1,): Fraction(1)})
 
 
 def test_matrix_inverse_geometric_constant_case():
@@ -148,6 +160,8 @@ def test_matrix_inverse_singular_rejected():
         matrix_inverse_geometric(singular)
     with pytest.raises(SingularMetric):
         matrix_inverse_direct(singular)
+    with pytest.raises(ValueError, match="matrix must be square"):
+        try_rational_inverse([[1, 0], [0]])
 
 
 # -- randomized algebra laws -------------------------------------------------
@@ -716,7 +730,8 @@ def test_inverse_routes_agree_on_random_metrics():
 ])
 def test_newton_inverse_runs_past_the_full_window(spec):
     """Newton's caps bound each group's degree, not the total degree, so
-    the inverse is exact only once the error vanishes on the full window."""
+    the inverse is certified only on the full window, once the error starts
+    above half its budget."""
     import random
 
     rng = random.Random(20261018)
