@@ -124,7 +124,7 @@ def cmd_descendent(args: argparse.Namespace) -> int:
     if args.input_path:
         batch = _read_json(args.input_path)
         if not isinstance(batch, list) or not all(
-                isinstance(idx, list) and all(type(d) is int for d in idx)
+                isinstance(idx, list) and {int}.issuperset(map(type, idx))
                 for idx in batch):
             raise ValueError("batch file must be a JSON array of integer arrays")
         any_irreducible = False

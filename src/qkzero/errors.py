@@ -36,14 +36,18 @@ class NotReducible(QKError):
     """
 
     def __init__(self, requested: tuple[int, ...], reached: tuple[int, ...]):
+        # The fields are the args, so pickling rebuilds the exception; the
+        # label is formatted only when it is read.
+        super().__init__(requested, reached)
         self.requested = requested
         self.reached = reached
+
+    def __str__(self) -> str:
+        requested, reached = self.requested, self.reached
         label = f"E({len(requested)}; {list(requested)}) is not reducible: "
         if sorted(requested) == sorted(reached):
-            label += "every power is >= 2"
-        else:
-            label += f"reduction reaches E({len(reached)}; {list(reached)})"
-        super().__init__(label)
+            return label + "every power is >= 2"
+        return label + f"reduction reaches E({len(reached)}; {list(reached)})"
 
 
 class SchemaError(QKError):
@@ -66,13 +70,16 @@ class IncompleteTable(QKError):
 
     def __init__(self, beta: tuple[int, ...], insertions: tuple[int, ...],
                  marked: tuple[int, int] | None = None):
+        super().__init__(beta, insertions, marked)
         self.beta = beta
         self.insertions = insertions
         self.marked = marked
-        label = f"beta={list(beta)}, insertions={list(insertions)}"
-        if marked is not None:
-            label += f", marked=(class {marked[0]}, power {marked[1]})"
-        super().__init__(f"missing correlator: {label}")
+
+    def __str__(self) -> str:
+        label = f"missing correlator: beta={list(self.beta)}, insertions={list(self.insertions)}"
+        if self.marked is not None:
+            label += f", marked=(class {self.marked[0]}, power {self.marked[1]})"
+        return label
 
 
 class TruncationMismatch(QKError):

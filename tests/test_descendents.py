@@ -3,7 +3,10 @@ branching, the one-step string/dilaton identity, and symmetry."""
 
 from __future__ import annotations
 
+import pickle
+import random
 from itertools import combinations_with_replacement, product
+from math import comb, factorial, inf, perm
 from time import perf_counter
 
 import pytest
@@ -11,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qkzero import NotReducible, descendent_euler
+from qkzero.descendents import _convolved, _packed
 
 from oracles import branching_values, closed_form_single, riemann_roch_n4
 
@@ -38,6 +42,20 @@ def test_deep_irreducibility_propagates():
         descendent_euler((2, 0, 2, 2, 2))
     assert excinfo.value.requested == (2, 0, 2, 2, 2)
     assert excinfo.value.reached == (2, 2, 2, 2)
+
+
+def test_not_reducible_survives_pickling():
+    with pytest.raises(NotReducible) as excinfo:
+        descendent_euler((0, 2, 2, 2, 3))
+    for exc in (excinfo.value, NotReducible((3, 2, 5, 2), (2, 2, 3, 5))):
+        copy = pickle.loads(pickle.dumps(exc))
+        assert type(copy) is NotReducible
+        assert (copy.requested, copy.reached) == (exc.requested, exc.reached)
+        assert str(copy) == str(exc)
+    assert str(excinfo.value) == ("E(5; [0, 2, 2, 2, 3]) is not reducible: "
+                                  "reduction reaches E(4; [2, 2, 2, 3])")
+    assert str(NotReducible((2, 2, 2, 2), (2, 2, 2, 2))) == (
+        "E(4; [2, 2, 2, 2]) is not reducible: every power is >= 2")
 
 
 def test_reached_index_follows_forgetful_child_first():
@@ -141,6 +159,58 @@ def test_cost_does_not_grow_with_the_powers():
         descendent_euler((0, huge, huge, huge, huge))
     assert excinfo.value.reached == (huge,) * 4
     assert perf_counter() - start < 1.0
+
+
+def _both_evaluations(index):
+    """The packed and the convolution value of a reducible index, each
+    computed whatever size the packed product has."""
+    large = sorted(d for d in index if d > 1)
+    *rest, last = large or [0]
+    parts = (len(index) - 3, index.count(1), rest, last)
+    return _packed(*parts, limit=inf), _convolved(*parts)
+
+
+def test_packed_and_convolution_agree_on_every_small_index():
+    checked = 0
+    for n in range(3, 10):
+        for index in combinations_with_replacement(range(13), n):
+            if sum(d > 1 for d in index) <= 3:
+                packed, convolved = _both_evaluations(index)
+                assert packed == convolved, index
+                checked += 1
+    assert checked >= 10_000
+
+
+def test_packed_and_convolution_agree_on_drawn_and_huge_powers():
+    rng = random.Random(2024)
+    indices = [(0, 0, 0, 10**39 + 7), (1, 0, 1, 0, 3 * 10**39),
+               (0, 1, 2 * 10**39, 10**40 - 1, 0)]
+    for _ in range(300):
+        n = rng.randint(3, 40)
+        large = [rng.choice((rng.randint(2, 12), rng.randint(2, 10**6)))
+                 for _ in range(rng.randint(0, min(3, n)))]
+        indices.append(tuple(large + [rng.randint(0, 1) for _ in range(n - len(large))]))
+    for index in indices:
+        packed, convolved = _both_evaluations(index)
+        assert packed == convolved == descendent_euler(index), index
+
+
+def test_large_indices_are_not_packed():
+    # Packed, each of these takes from seconds to most of a minute: every
+    # digit carries an N!-sized scale.  The convolution takes milliseconds.
+    # Expected values from Lee's sum over a <= d with |a| <= N.
+    expected = {
+        (0,) * 1200 + (1,): closed_form_single(1201, 1),
+        (0,) * 3000 + (2,): closed_form_single(3001, 2),
+        (1,) * 2000: sum(comb(2000, j) * perm(1997, j) for j in range(1998)),
+        (0,) * 2000 + (2, 2): sum(comb(2, i) * comb(2, j) * perm(1999, i + j)
+                                 // (factorial(i) * factorial(j))
+                                 for i in range(3) for j in range(3)),
+    }
+    start = perf_counter()
+    values = {index: descendent_euler(index) for index in expected}
+    assert perf_counter() - start < 1.0
+    assert values == expected
 
 
 def _one_step(index, j):

@@ -10,6 +10,7 @@ linearity predicts coefficient by coefficient.
 """
 
 import json
+import pickle
 import tracemalloc
 from fractions import Fraction
 from math import comb, factorial
@@ -202,7 +203,14 @@ def test_missing_marked_entry_reports_key():
     assert excinfo.value.beta == (1,)
     assert excinfo.value.insertions == (0,)
     assert excinfo.value.marked == (0, 0)
-    assert "marked" in str(excinfo.value)
+    assert str(excinfo.value) == (
+        "missing correlator: beta=[1], insertions=[0], marked=(class 0, power 0)")
+    for exc in (excinfo.value, IncompleteTable((0, 2), (1, 1, 0))):
+        copy = pickle.loads(pickle.dumps(exc))
+        assert type(copy) is IncompleteTable
+        assert (copy.beta, copy.insertions, copy.marked) == (
+            exc.beta, exc.insertions, exc.marked)
+        assert str(copy) == str(exc)
 
 
 @pytest.mark.parametrize("target,t_order,q_order", [
