@@ -33,7 +33,7 @@ big integer whose b-bit digit N is E times those scales.  That replaces the
 (N + 1)^2-term convolutions, so an index is packed only when it has two or
 three powers >= 2 and its packed product, about b (N + 1 + m + the sum of
 those k) bits, is at most PACKED_MAX_BITS: every digit carries an N!-sized
-scale, and past that size the big-integer products cost more than the
+scale, and past that size the big-integer products can cost more than the
 convolutions they replace.  Either way a power's size enters only through
 the bit length of the binomials it makes, so the cost grows with n and
 hardly with the powers; an index with one power >= 2, such as
@@ -61,8 +61,9 @@ from .errors import NotReducible
 # Largest packed product, in bits, evaluated as one big-integer product.
 # Measured on n = 4..40, 60, 100, 300, 1201 with zeros or ones as filler
 # and powers 2..12, 50, 10^3, 10^6: the indices packed under it took a
-# median 0.35 and at most 1.04 of the convolution's time, while from about
-# 25,000 bits up, indices with powers of 10^3 or 10^6 took 1.1 to 2.3 times.
+# median 0.35 and at most 1.04 of the convolution's time; just above it
+# some with powers of 10^3 or 10^6 took 1.5 times, and past 100,000 bits
+# the median is 2.1 times.
 PACKED_MAX_BITS = 16_000
 
 
