@@ -40,7 +40,6 @@ from .frobenius import (
 )
 from .kring import (
     KRingPresentation,
-    euler_char_line_bundle,
     point_kring,
     projective_space_kring,
 )

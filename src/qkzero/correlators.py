@@ -21,7 +21,7 @@ of the curve: the value is chi(prod u_i * e_j) * E(m+1; 0,...,0,d).
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations_with_replacement, product
+from itertools import combinations_with_replacement
 from math import factorial, prod
 from typing import Callable, Iterable, Iterator
 
@@ -78,9 +78,11 @@ def _exact_value(value: object) -> Fraction:
 
 def effective_degrees(degree_rank: int, bound: int) -> Iterator[DegreeVector]:
     """All componentwise non-negative vectors of total degree <= bound,
-    in ascending total degree then lexicographic order."""
-    yield from sorted((v for v in product(range(bound + 1), repeat=degree_rank)
-                       if sum(v) <= bound), key=lambda v: (sum(v), v))
+    in ascending total degree then lexicographic order.  The vectors of
+    total d count out the size-d multisets of components."""
+    for total in range(bound + 1):
+        yield from sorted(tuple(map(c.count, range(degree_rank)))
+                          for c in combinations_with_replacement(range(degree_rank), total))
 
 
 def insertion_multisets(rank: int, degree_rank: int, t_order: int, novikov_order: int,
@@ -104,31 +106,16 @@ def insertion_multisets(rank: int, degree_rank: int, t_order: int, novikov_order
                 yield beta, kappa, tuple(counts) + beta, prod(map(factorial, counts))
 
 
-def _times_basis(mult: tuple, coords: tuple, k: int) -> tuple:
-    """Coordinates of (sum_i coords[i] e_i) * e_k, read from the rows
-    mult[i][k] of the nonzero coordinates; zero structure constants are
-    skipped."""
-    out = [0] * len(coords)
-    for i, u in enumerate(coords):
-        if u:
-            for l, m in enumerate(mult[i][k]):
-                if m:
-                    out[l] += u * m
-    return tuple(out)
-
-
 def degree_zero_chi(ring: KRingPresentation) -> Callable[[Iterable[int]], Fraction]:
     """chi of the product of basis insertions, as a function of the multiset.
 
     Products are coordinate tuples in the basis e_0..e_r.  Each sorted
-    multiset's product is one multiply by a basis class away from its
-    longest prefix already formed, so walking multisets in ascending order
-    costs one product apiece; chi is the pairing against the unit e_0, so
-    two insertions give the pairing g_ij itself.  The cache lives in the
+    multiset's product is one ring.times_basis away from its longest prefix
+    already formed, so walking multisets in ascending order costs one
+    product apiece; chi is ring.pair against the unit e_0, so two
+    insertions give the pairing g_ij itself.  The cache lives in the
     returned function; build one per assembly.
     """
-    mult = ring.mult
-    pair_unit = [row[0] for row in ring.pairing]
     products: dict[tuple[int, ...], tuple] = {(): (1,) + (0,) * (ring.rank - 1)}
 
     def chi(insertions: Iterable[int]) -> Fraction:
@@ -141,9 +128,9 @@ def degree_zero_chi(ring: KRingPresentation) -> Callable[[Iterable[int]], Fracti
             cut -= 1
         acc = products[key[:cut]]
         for end in range(cut + 1, len(key) + 1):
-            acc = _times_basis(mult, acc, key[end - 1])
+            acc = ring.times_basis(acc, key[end - 1])
             products[key[:end]] = acc
-        return sum((u * g for u, g in zip(acc, pair_unit) if u), Fraction(0))
+        return ring.pair(acc, 0)
 
     return chi
 

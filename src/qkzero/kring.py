@@ -5,25 +5,24 @@ constants m[i][j][k] for e_i e_j = sum_k m[i][j][k] e_k, and the pairing
 g[i][j] = chi(e_i e_j).  The constructor checks every axiom a Frobenius
 algebra needs; downstream modules rely on those checks and never re-verify.
 
+The ring has one product and one pairing: times_basis multiplies a
+coordinate vector by a basis class and pair pairs it with one, both
+sparsely.  The constructor's associativity and invariance checks and the
+degree-zero chi walk all go through them.
+
 For projective space the basis is e_i = a^i where a = 1 - [O(-1)], so
-a^{n+1} = 0 and chi(a^m) counts by inclusion-exclusion over twists.
+a^{n+1} = 0 and the pairing is g_ij = chi(a^{i+j}) = 1 for i + j <= n and 0
+beyond; tests/test_kring.py derives it by inclusion-exclusion over twists,
+sum_u (-1)^u binom(i+j, u) chi(P^n, O(-u)).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, factorial, prod
 
 from .errors import InvalidPresentation, SchemaError
 from .record import Record
 from .series import format_rational, parse_rational, try_rational_inverse
-
-
-def euler_char_line_bundle(n: int, k: int) -> Fraction:
-    """chi(P^n, O(k)) = (k+1)(k+2)...(k+n) / n!, valid for every integer k."""
-    if n < 0:
-        raise ValueError("projective space dimension must be non-negative")
-    return Fraction(prod(k + j for j in range(1, n + 1)), factorial(n))
 
 
 class KRingPresentation(Record):
@@ -62,29 +61,44 @@ class KRingPresentation(Record):
                 if m[i][j] != m[j][i]:
                     raise InvalidPresentation(
                         f"multiplication is not commutative at ({i},{j})")
+        # (e_i e_j) e_k against (e_j e_k) e_i, which is e_i (e_j e_k) once
+        # commutativity holds.
         for i in range(r):
             for j in range(r):
                 for k in range(r):
-                    for l in range(r):
-                        lhs = sum(m[i][j][mu] * m[mu][k][l] for mu in range(r))
-                        rhs = sum(m[j][k][mu] * m[i][mu][l] for mu in range(r))
-                        if lhs != rhs:
-                            raise InvalidPresentation(
-                                f"multiplication is not associative at ({i},{j},{k})")
+                    if self.times_basis(m[i][j], k) != self.times_basis(m[j][k], i):
+                        raise InvalidPresentation(
+                            f"multiplication is not associative at ({i},{j},{k})")
         for i in range(r):
             for j in range(i + 1, r):
                 if g[i][j] != g[j][i]:
                     raise InvalidPresentation(f"pairing is not symmetric at ({i},{j})")
         if try_rational_inverse(g) is None:
             raise InvalidPresentation("pairing is singular")
+        # g(e_i e_j, e_k) against g(e_j e_k, e_i), which is g(e_i, e_j e_k)
+        # once symmetry holds.
         for i in range(r):
             for j in range(r):
                 for k in range(r):
-                    lhs = sum(m[i][j][mu] * g[mu][k] for mu in range(r))
-                    rhs = sum(m[j][k][mu] * g[i][mu] for mu in range(r))
-                    if lhs != rhs:
+                    if self.pair(m[i][j], k) != self.pair(m[j][k], i):
                         raise InvalidPresentation(
                             f"pairing is not multiplication-invariant at ({i},{j},{k})")
+
+    def times_basis(self, coords: tuple, k: int) -> tuple:
+        """Coordinates of (sum_i coords[i] e_i) * e_k, read from the rows
+        mult[i][k] of the nonzero coordinates; zero structure constants are
+        skipped."""
+        out = [0] * len(coords)
+        for i, u in enumerate(coords):
+            if u:
+                for l, m in enumerate(self.mult[i][k]):
+                    if m:
+                        out[l] += u * m
+        return tuple(out)
+
+    def pair(self, coords: tuple, k: int) -> Fraction:
+        """g(sum_i coords[i] e_i, e_k), summed over the nonzero coordinates."""
+        return sum((u * row[k] for u, row in zip(coords, self.pairing) if u), Fraction(0))
 
     @property
     def rank(self) -> int:
@@ -125,16 +139,15 @@ def _tensor(value: object, depth: int) -> tuple:
 
 
 def point_kring() -> KRingPresentation:
-    one = Fraction(1)
-    return KRingPresentation(("e0",), (((one,),),), ((one,),))
+    """K-ring of the point, which is P^0."""
+    return projective_space_kring(0)
 
 
 def projective_space_kring(n: int) -> KRingPresentation:
     """K-ring of P^n in the basis e_i = a^i, a = 1 - [O(-1)].
 
-    a^i a^j = a^{i+j} (zero past a^n) and
-    chi(a^m) = sum over twists of (-1)^u binom(m, u) chi(O(-u)),
-    which works out to 1 for m <= n and 0 for m > n.
+    a^i a^j = a^{i+j} (zero past a^n), and chi(a^m) is 1 for m <= n and 0
+    for m > n (see the module docstring).
     """
     if n < 0:
         raise ValueError("projective space dimension must be non-negative")
@@ -147,15 +160,7 @@ def projective_space_kring(n: int) -> KRingPresentation:
         )
         for i in range(r)
     )
-
-    def chi_alpha_power(m: int) -> Fraction:
-        return sum(
-            ((-1) ** u * comb(m, u) * euler_char_line_bundle(n, -u)
-             for u in range(m + 1)),
-            Fraction(0),
-        )
-
     pairing = tuple(
-        tuple(chi_alpha_power(i + j) for j in range(r)) for i in range(r)
+        tuple(Fraction(int(i + j <= n)) for j in range(r)) for i in range(r)
     )
     return KRingPresentation(labels, mult, pairing)

@@ -168,14 +168,17 @@ class TruncatedSeries(Record):
 
     @classmethod
     def over_lcm(cls, spec: SeriesSpec,
-                 groups: Mapping[int, Mapping[Exponent, int]]) -> "TruncatedSeries":
+                 groups: dict[int, Mapping[Exponent, int]]) -> "TruncatedSeries":
         """The series whose numerators are kept per denominator: each group
         {exp: num} stands for num / den at the key den.  Every group is
         rescaled to the lcm of the keys once, then reduced by
-        from_numerators, which trusts the numerators and exponents given."""
+        from_numerators, which trusts the numerators and exponents given.
+        Groups are popped as they are merged, so no group outlives its merge
+        and the caller's dict is left empty."""
         den = lcm(*groups)
         nums: dict[Exponent, int] = {}
-        for group_den, terms in groups.items():
+        while groups:
+            group_den, terms = groups.popitem()
             scale = den // group_den
             nums.update((exp, num * scale) for exp, num in terms.items())
         return cls.from_numerators(spec, nums, den)

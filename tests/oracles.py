@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations_with_replacement, product
-from math import comb, factorial
+from math import comb, factorial, prod
 
 from qkzero import (
     CorrelatorTable,
@@ -134,6 +134,13 @@ def chi_exponential_series(ring: KRingPresentation, fixed: tuple[int, ...],
     for total in range(order + 1):
         rec(0, (), total)
     return out
+
+
+def euler_char_line_bundle(n: int, k: int) -> Fraction:
+    """chi(P^n, O(k)) = (k+1)(k+2)...(k+n) / n!, valid for every integer k."""
+    if n < 0:
+        raise ValueError("projective space dimension must be non-negative")
+    return Fraction(prod(k + j for j in range(1, n + 1)), factorial(n))
 
 
 def p2_line_bundle_kring() -> KRingPresentation:

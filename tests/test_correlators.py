@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import json
+import time
 from fractions import Fraction
 from itertools import combinations_with_replacement
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -16,7 +18,6 @@ from qkzero import (
     IneffectiveDegree,
     SchemaError,
     effective_degrees,
-    euler_char_line_bundle,
     load_correlators,
     point_kring,
     projective_space_kring,
@@ -24,7 +25,7 @@ from qkzero import (
 )
 from qkzero.correlators import degree_zero_chi, table_key
 
-from oracles import p2_line_bundle_kring
+from oracles import euler_char_line_bundle, p2_line_bundle_kring
 
 P1 = projective_space_kring(1)
 
@@ -85,6 +86,14 @@ def test_effective_degrees_enumeration():
     assert list(effective_degrees(0, 5)) == [()]
     assert list(effective_degrees(1, 2)) == [(0,), (1,), (2,)]
     assert list(effective_degrees(2, 1)) == [(0, 0), (0, 1), (1, 0)]
+    # Twelve Novikov variables: the 4^12 vectors with entries <= 3 would
+    # take seconds to filter down to these.
+    start = time.perf_counter()
+    degrees = list(effective_degrees(12, 3))
+    assert time.perf_counter() - start < 0.5
+    assert len(degrees) == comb(15, 3) == 455
+    assert degrees == sorted(set(degrees), key=lambda v: (sum(v), v))
+    assert all(min(v) >= 0 and sum(v) <= 3 for v in degrees)
 
 
 def _p1_table_doc(entries, descendents=()):

@@ -435,3 +435,20 @@ def test_connection_residual_copies_nothing_of_the_solution():
         tracemalloc.stop()
     assert summaries[0].is_zero
     assert peak - start < (start - before) / 4
+
+
+def test_assembly_drops_each_denominator_group_as_it_merges():
+    """On the point at 60/60 the assembly's traced peak above its start
+    stays below 1.3 times the size of the S it returns: over_lcm pops each
+    cell's denominator groups as it merges them (kept alive until every
+    row was built, the peak was 1.65 times S)."""
+    table = CorrelatorTable.empty(point_kring(), 0, {"type": "point"})
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        # S is held while read, so size - start is S's own traced size.
+        solution = assemble_fundamental_solution(table, 60, 0, 60)
+        size, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - start < 1.3 * (size - start)

@@ -649,8 +649,10 @@ def test_from_numerators_reduces_and_checks_the_denominator():
 def test_over_lcm_rescales_each_denominator_group_once():
     spec = SeriesSpec(1, 0, 3, 0, 0)
     e, f = (1, 0), (2, 0)
-    x = TruncatedSeries.over_lcm(spec, {4: {e: 2}, 6: {f: 3}})
+    groups = {4: {e: 2}, 6: {f: 3}}
+    x = TruncatedSeries.over_lcm(spec, groups)
     assert (x.den, x.nums) == (2, {e: 1, f: 1})
+    assert groups == {}
     assert TruncatedSeries.over_lcm(spec, {}) == TruncatedSeries.zero(spec)
 
 
