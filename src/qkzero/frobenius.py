@@ -85,9 +85,9 @@ def assemble_potential(table: CorrelatorTable, t_order: int, novikov_order: int)
 def quantized_metric(potential: Potential) -> SeriesMatrix:
     """G_ij as the Hessian of the potential, certified to t-order T-2."""
     rank = potential.ring.rank
-    first = [potential.series.derivative(f"t{i}") for i in range(rank)]
+    first = [potential.series.derivative(i) for i in range(rank)]
     return SeriesMatrix(tuple(
-        tuple(first[i].derivative(f"t{j}") for j in range(rank))
+        tuple(first[i].derivative(j) for j in range(rank))
         for i in range(rank)
     ))
 
@@ -116,8 +116,8 @@ def build_frobenius_data(potential: Potential) -> FrobeniusData:
     """
     gmetric = quantized_metric(potential)
     ginv = matrix_inverse_geometric(gmetric)
-    third = tuple(gmetric.derivative(f"t{k}") for k in range(gmetric.dimension))
-    ginv3 = ginv.truncated(t_order=third[0].spec.t_order)
+    third = tuple(gmetric.derivative(k) for k in range(gmetric.dimension))
+    ginv3 = ginv.within(third[0].spec)
     return FrobeniusData(
         ring=potential.ring,
         gmetric=gmetric,
@@ -198,7 +198,7 @@ def classical_limit_residual(fd: FrobeniusData) -> ResidualSummary:
     spec0 = spec3.truncated(novikov_order=0)
     pieces: list[tuple[dict, TruncatedSeries]] = []
     for i in range(rank):
-        c = fd.product[i].truncated(novikov_order=0).entries
+        c = fd.product[i].within(spec0).entries
         for j in range(rank):
             for k in range(rank):
                 diff = c[j][k] - TruncatedSeries.constant(spec0, fd.ring.mult[i][j][k])
@@ -241,17 +241,17 @@ def flatness_residuals(fd: FrobeniusData) -> FlatnessReport:
     metric_pieces: list[tuple[dict, TruncatedSeries]] = []
     for i in range(rank):
         for j in range(i + 1, rank):
-            r1 = act[j].derivative(f"t{i}") - act[i].derivative(f"t{j}")
+            r1 = act[j].derivative(i) - act[i].derivative(j)
             r2 = act[i] * act[j] - act[j] * act[i]
             # Curvature at the metric specialization z = 1/2: -z R1 + z^2 R2.
             metric = (r1.scaled(Fraction(-1, 2))
-                      + r2.truncated(t_order=spec4.t_order).scaled(Fraction(1, 4)))
+                      + r2.within(spec4).scaled(Fraction(1, 4)))
             r1_pieces.extend(matrix_pieces({"pair": [i, j]}, r1))
             r2_pieces.extend(matrix_pieces({"pair": [i, j]}, r2))
             metric_pieces.extend(matrix_pieces({"pair": [i, j]}, metric))
 
     lc_pieces: list[tuple[dict, TruncatedSeries]] = []
-    g3 = fd.gmetric.truncated(t_order=spec3.t_order)
+    g3 = fd.gmetric.within(spec3)
     half = Fraction(1, 2)
     for k in range(rank):
         lowered = (fd.product[k] * g3).entries

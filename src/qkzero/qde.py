@@ -25,7 +25,7 @@ by row and copies neither; only associativity differentiates S, at rank 2 or
 more.  The product is a function of t and Q alone: its
 spec must have q order 0 and the Novikov truncation of S (TruncationMismatch
 otherwise), and each residual lifts it into S's q window unchanged
-(SeriesMatrix.widened).  Only this module reads a descendent order.
+(SeriesMatrix.within).  Only this module reads a descendent order.
 """
 
 from __future__ import annotations
@@ -164,11 +164,11 @@ def qde_residual(solution: QDESolution, fd: FrobeniusData) -> list[ResidualSumma
     """dS/dt_k minus 1/(1-q) times (e_k *) S, one summary per k."""
     window = solution.spec.truncated(t_order=_aligned_window(solution, fd))
     # S is cut only to the product's order, so at full depth s is S itself.
-    order = min(solution.spec.t_order, fd.product[0].spec.t_order)
-    s = solution.matrix.truncated(t_order=order)
+    s = solution.matrix.within(solution.spec.truncated(
+        t_order=min(solution.spec.t_order, fd.product[0].spec.t_order)))
     summaries = []
     for k, a in enumerate(fd.product):
-        p = a.truncated(t_order=order).widened(s.spec) * s
+        p = a.within(s.spec) * s
         defect = SeriesMatrix(tuple(
             tuple(_connection_defect(s_ij, p_ij, k, window) for s_ij, p_ij in zip(*rows))
             for rows in zip(solution.matrix.entries, p.entries)))
@@ -186,9 +186,9 @@ def gwdvv_residuals(solution: QDESolution, fd: FrobeniusData
     rank = solution.ring.rank
     if rank < 2:
         return []
-    partials = [solution.matrix.truncated(t_order=window + 1).derivative(f"t{k}")
-                for k in range(rank)]
-    a_trunc = [p.truncated(t_order=window).widened(partials[0].spec) for p in fd.product]
+    cut = solution.spec.truncated(t_order=window + 1)
+    partials = [solution.matrix.within(cut).derivative(k) for k in range(rank)]
+    a_trunc = [p.within(partials[0].spec) for p in fd.product]
     summaries = []
     for j in range(rank):
         for k in range(j + 1, rank):

@@ -13,9 +13,9 @@ numerators over one shared denominator in lowest terms, read back as
 are exact rationals, never floats, and exponents are never negative.
 
 Series objects are immutable: every operation returns a fresh object.
-Arithmetic requires both operands to carry the same variable layout and
-the same truncation orders; lowering a truncation is always an explicit
-``truncated`` call, never an implicit coercion.
+Arithmetic requires both operands to carry the same window, one interned
+``SeriesSpec``; a lower window is derived with ``SeriesSpec.truncated``
+and a series is put in a window with ``within``, never implicitly.
 """
 
 from __future__ import annotations
@@ -64,6 +64,7 @@ class SeriesSpec(Record):
     and ``q``; exponent tuples list them in that order, ``q`` last.  An order
     may drop below zero after repeated differentiation, in which case no
     coefficient in that group is certified and the series stores no terms.
+    Specs are interned, so equal windows are one object.
     """
 
     num_t: int
@@ -72,9 +73,19 @@ class SeriesSpec(Record):
     novikov_order: int
     q_order: int
 
-    def __post_init__(self) -> None:
-        if self.num_t < 0 or self.num_novikov < 0:
-            raise ValueError("variable counts must be non-negative")
+    _interned = {}
+    __init__ = object.__init__  # __new__ builds, checks and interns
+
+    def __new__(cls, num_t, num_novikov, t_order, novikov_order, q_order) -> "SeriesSpec":
+        fields = num_t, num_novikov, t_order, novikov_order, q_order
+        spec = cls._interned.get(fields)
+        if spec is None:
+            if num_t < 0 or num_novikov < 0:
+                raise ValueError("variable counts must be non-negative")
+            spec = cls._interned[fields] = object.__new__(cls)
+            for name, value in zip(cls._fields, fields):
+                object.__setattr__(spec, name, value)
+        return spec
 
     @property
     def t_vars(self) -> tuple[str, ...]:
@@ -106,23 +117,14 @@ class SeriesSpec(Record):
             raise UnknownVariable(f"{name!r} not among {self.vars}")
         return self.vars.index(name)
 
-    def after_derivative(self, name: str) -> "SeriesSpec":
-        """The spec with the order of ``name``'s group lowered by one."""
-        pos = self.var_position(name)
-        in_t, in_q = pos < self.num_t, pos == self.nvars - 1
-        return SeriesSpec(self.num_t, self.num_novikov, self.t_order - in_t,
-                          self.novikov_order - (not in_t and not in_q), self.q_order - in_q)
-
     def truncated(self, t_order: int | None = None, novikov_order: int | None = None,
                   q_order: int | None = None) -> "SeriesSpec":
-        """The spec with the given orders lowered; self when none drops."""
+        """The spec with the given orders lowered, the others kept."""
         t = self.t_order if t_order is None else t_order
         n = self.novikov_order if novikov_order is None else novikov_order
         q = self.q_order if q_order is None else q_order
         if t > self.t_order or n > self.novikov_order or q > self.q_order:
             raise IncompatibleSeries("truncation can only lower orders")
-        if t == self.t_order and n == self.novikov_order and q == self.q_order:
-            return self
         return SeriesSpec(self.num_t, self.num_novikov, t, n, q)
 
     def budget(self) -> int:
@@ -248,7 +250,7 @@ class TruncatedSeries(Record):
     # -- arithmetic --------------------------------------------------------
 
     def _require_same_spec(self, other: "TruncatedSeries") -> None:
-        if self.spec != other.spec:
+        if self.spec is not other.spec:
             raise IncompatibleSeries(f"{self.spec} vs {other.spec}")
 
     def __sub__(self, other: "TruncatedSeries") -> "TruncatedSeries":
@@ -340,27 +342,30 @@ class TruncatedSeries(Record):
             self.spec, {exp: num * v for exp, v in self.nums.items()},
             value.denominator * self.den)
 
-    def derivative(self, name: str) -> "TruncatedSeries":
-        """Formal partial derivative.  The truncation order of the variable's
-        group drops by one: differentiating discards exactly one layer of
+    def derivative(self, k: int) -> "TruncatedSeries":
+        """Formal partial derivative in t_k, for k in 0..num_t - 1.  The t
+        order drops by one: differentiating discards exactly one layer of
         certified coefficients."""
-        pos = self.spec.var_position(name)
-        spec = self.spec.after_derivative(name)
+        if not 0 <= k < self.spec.num_t:
+            raise UnknownVariable("no t variable at index %r" % (k,))
+        spec = self.spec.truncated(t_order=self.spec.t_order - 1)
         # Lowering one exponent by one is injective and keeps the group
         # degree within the lowered order, so no term collides or leaves.
         out: dict[Exponent, int] = {}
         for exp, num in self.nums.items():
-            k = exp[pos]
-            if k:
-                out[exp[:pos] + (k - 1,) + exp[pos + 1 :]] = k * num
+            e = exp[k]
+            if e:
+                out[exp[:k] + (e - 1,) + exp[k + 1 :]] = e * num
         return TruncatedSeries.from_numerators(spec, out, self.den)
 
-    def truncated(self, t_order: int | None = None, novikov_order: int | None = None,
-                  q_order: int | None = None) -> "TruncatedSeries":
-        # Lowering orders only drops terms; every kept term is already valid.
-        spec = self.spec.truncated(t_order, novikov_order, q_order)
-        if spec == self.spec:
+    def within(self, spec: SeriesSpec) -> "TruncatedSeries":
+        """This series in spec's window, on the same variables: the terms
+        spec does not admit are dropped.  A wider window certifies nothing
+        new; it lifts a series known whole, e.g. a q-free one into a q window."""
+        if spec is self.spec:
             return self
+        if (spec.num_t, spec.num_novikov) != (self.spec.num_t, self.spec.num_novikov):
+            raise IncompatibleSeries("windows differ in their variables")
         admits = spec.admits
         return TruncatedSeries.from_numerators(
             spec, {exp: num for exp, num in self.nums.items() if admits(exp)}, self.den)
@@ -425,7 +430,7 @@ class SeriesMatrix(Record):
         spec = rows[0][0].spec
         for row in rows:
             for entry in row:
-                if entry.spec != spec:
+                if entry.spec is not spec:
                     raise IncompatibleSeries("matrix entries disagree on spec")
 
     @property
@@ -464,7 +469,7 @@ class SeriesMatrix(Record):
     def _check(self, other: "SeriesMatrix") -> None:
         if self.dimension != other.dimension:
             raise IncompatibleSeries("matrix dimensions differ")
-        if self.spec != other.spec:
+        if self.spec is not other.spec:
             raise IncompatibleSeries("matrix specs differ")
 
     def scaled(self, value: RationalLike) -> "SeriesMatrix":
@@ -475,22 +480,15 @@ class SeriesMatrix(Record):
     def transpose(self) -> "SeriesMatrix":
         return SeriesMatrix(tuple(zip(*self.entries)))
 
-    def derivative(self, name: str) -> "SeriesMatrix":
+    def derivative(self, k: int) -> "SeriesMatrix":
         return SeriesMatrix(tuple(
-            tuple(entry.derivative(name) for entry in row) for row in self.entries
+            tuple(entry.derivative(k) for entry in row) for row in self.entries
         ))
 
-    def truncated(self, t_order: int | None = None, novikov_order: int | None = None,
-                  q_order: int | None = None) -> "SeriesMatrix":
-        return SeriesMatrix(tuple(
-            tuple(entry.truncated(t_order, novikov_order, q_order) for entry in row)
-            for row in self.entries
-        ))
-
-    def widened(self, spec: SeriesSpec) -> "SeriesMatrix":
-        """The same entries under spec, which must hold every term of each."""
-        return SeriesMatrix(tuple(tuple(TruncatedSeries.from_numerators(spec, e.nums, e.den)
-                                        for e in row) for row in self.entries))
+    def within(self, spec: SeriesSpec) -> "SeriesMatrix":
+        """Every entry in spec's window (TruncatedSeries.within)."""
+        return self if spec is self.spec else SeriesMatrix(tuple(
+            tuple(entry.within(spec) for entry in row) for row in self.entries))
 
     def constant_matrix(self) -> tuple[tuple[Fraction, ...], ...]:
         return tuple(tuple(entry.constant_term for entry in row) for row in self.entries)
@@ -500,8 +498,8 @@ def matrix_inverse_geometric(mat: SeriesMatrix) -> SeriesMatrix:
     """Invert G by Newton's iteration X <- X + X E, E = I - G X, from X = g^-1,
     g the constant term; each round squares the error: I - G X' = E^2.
 
-    Round i runs with every group order capped at 2^i - 1.  X is widened as
-    is, since its terms all lie in the new window; the terms it lacks have
+    Round i runs with every group order capped at 2^i - 1.  X is put in the
+    new window as is, since its terms all lie there; the terms it lacks have
     total degree >= 2^(i-1), where E starts, so E stays there and the round
     doubles it.  The stop test is the certificate: on the full window, once
     E has no term of total degree <= budget/2, E^2 has none in the window,
@@ -518,12 +516,12 @@ def matrix_inverse_geometric(mat: SeriesMatrix) -> SeriesMatrix:
                            for row in g_inv))
     while size <= max(budget, 1):
         size *= 2
-        g = mat.truncated(*(min(order, size - 1) for order in
-                            (spec.t_order, spec.novikov_order, spec.q_order)))
-        x = x.widened(g.spec)
-        error = SeriesMatrix.identity(g.spec, mat.dimension) - g * x
+        window = spec.truncated(*(min(order, size - 1) for order in
+                                  (spec.t_order, spec.novikov_order, spec.q_order)))
+        x = x.within(window)
+        error = SeriesMatrix.identity(window, mat.dimension) - mat.within(window) * x
         x = x + x * error
-        if g.spec == spec and all(2 * sum(exp) > budget for row in error.entries
+        if window is spec and all(2 * sum(exp) > budget for row in error.entries
                                   for entry in row for exp in entry.nums):
             return x
     raise ArithmeticError("Newton's iteration certified no inverse; the multiply is wrong")

@@ -246,7 +246,7 @@ def naive_connection_defect(s: TruncatedSeries, p: TruncatedSeries, k: int,
     """dS/dt_k on the window minus the running q-sum of P truncated to it,
     composed from the two oracles above, zeros dropped."""
     out = {exp: v for exp, v in naive_derivative(s, f"t{k}").items() if window.admits(exp)}
-    for exp, value in naive_over_one_minus_q(p.truncated(t_order=window.t_order)).items():
+    for exp, value in naive_over_one_minus_q(p.within(p.spec.truncated(t_order=window.t_order))).items():
         out[exp] = out.get(exp, 0) - value
     return {exp: value for exp, value in out.items() if value}
 

@@ -252,6 +252,18 @@ def test_qde_check_perturbed_table_matches_golden(name, t_order, desc_order, cap
     assert err == "NONZERO residuals found; see report\n"
 
 
+def test_frobenius_check_positive_degree_matches_golden(capsys):
+    """P^1 with degrees 1 and 2: every value 1 except <pt, pt>_1 = 2.  The
+    report pins the Novikov > 0 windows, the classical limit's Novikov-0 cut
+    and the flatness T-4 cut; unit, WDVV, r1, r2 and the metric fail."""
+    code, out, err = run_cli(
+        ["frobenius-check", "--input", str(DATA / "frobenius_p1_degree_two_input.json"),
+         "--t-order", "7", "--q-order", "2"], capsys)
+    assert code == 3
+    assert out == (DATA / "frobenius_p1_degree_two.golden.json").read_text()
+    assert err == "NONZERO residuals found; see report\n"
+
+
 def test_qde_check_differentiates_once_per_variable(tmp_path, capsys,
                                                    monkeypatch):
     ring = projective_space_kring(2)
@@ -262,9 +274,9 @@ def test_qde_check_differentiates_once_per_variable(tmp_path, capsys,
     calls = []
     derivative = SeriesMatrix.derivative
 
-    def counted(self, var):
-        calls.append((self.spec.t_order, var))
-        return derivative(self, var)
+    def counted(self, k):
+        calls.append((self.spec.t_order, k))
+        return derivative(self, k)
 
     monkeypatch.setattr(SeriesMatrix, "derivative", counted)
     code, out, _ = run_cli(
@@ -274,8 +286,7 @@ def test_qde_check_differentiates_once_per_variable(tmp_path, capsys,
     assert len(json.loads(out)["gwdvv_residuals"]) == 3
     # S at t order 5 and the metric G (potential 5 + 3, Hessian 6), each
     # once per variable.
-    assert sorted(calls) == [(5, "t0"), (5, "t1"), (5, "t2"),
-                             (6, "t0"), (6, "t1"), (6, "t2")]
+    assert sorted(calls) == [(5, 0), (5, 1), (5, 2), (6, 0), (6, 1), (6, 2)]
 
 
 def test_qde_check_needs_descendent_data_off_point(capsys):

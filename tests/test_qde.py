@@ -176,10 +176,11 @@ def test_perturbed_entry_footprint():
     # weights linearity dictates; nothing else moves.
     window = T_POINT - 1
     s_entry = bad.matrix.entries[0][0]
-    ds = s_entry.derivative("t0").truncated(t_order=window)
-    a_entry = fd.product[0].truncated(t_order=window).widened(ds.spec).entries[0][0]
+    ds = s_entry.derivative(0)
+    ds = ds.within(ds.spec.truncated(t_order=window))
+    a_entry = fd.product[0].within(ds.spec).entries[0][0]
     geom = geometric_q(ds.spec)
-    residual = ds - a_entry * s_entry.truncated(t_order=window) * geom
+    residual = ds - a_entry * s_entry.within(ds.spec) * geom
     expected = monomial(ds.spec, {"t0": 2, "q": 2}, delta / 2)
     for e in range(2, M_POINT + 1):
         expected = expected + monomial(
@@ -244,7 +245,7 @@ def test_solution_at_q0_is_the_quantized_metric(ring, t_order):
     table = CorrelatorTable.empty(ring, 1, {"type": "custom", "ring": ring.to_json_dict()})
     solution = assemble_fundamental_solution(table, t_order, 0, 2)
     metric = quantized_metric(assemble_potential(table, t_order + 2, 0))
-    assert solution.matrix.truncated(q_order=0) == metric
+    assert solution.matrix.within(solution.spec.truncated(q_order=0)) == metric
 
 
 def test_plain_entry_alone_breaks_the_solution_at_q0():
@@ -255,7 +256,7 @@ def test_plain_entry_alone_breaks_the_solution_at_q0():
         (0,), (1, 1, 2, 2), Fraction(3, 7))
     solution = assemble_fundamental_solution(table, 4, 0, 2)
     metric = quantized_metric(assemble_potential(table, 6, 0))
-    assert solution.matrix.truncated(q_order=0) != metric
+    assert solution.matrix.within(solution.spec.truncated(q_order=0)) != metric
 
 
 @pytest.mark.parametrize("target,degree_rank", [
@@ -296,7 +297,7 @@ def test_qde_check_and_frobenius_check_build_the_same_product(monkeypatch, capsy
 
 def test_product_carrying_q_rejected():
     _, _, fd, solution = _point_setup()
-    product = tuple(p.widened(p.spec.replace(q_order=M_POINT)) for p in fd.product)
+    product = tuple(p.within(p.spec.replace(q_order=M_POINT)) for p in fd.product)
     with pytest.raises(TruncationMismatch, match="carries q"):
         qde_residual(solution, fd.replace(product=product))
     with pytest.raises(TruncationMismatch, match="carries q"):
@@ -351,10 +352,10 @@ def _oracle_qde_summaries(solution, fd):
     joint window minus the running q-sum of (e_k *) S truncated to it."""
     window = min(solution.spec.t_order - 1, fd.product[0].spec.t_order)
     spec = solution.spec.truncated(t_order=window)
-    s = solution.matrix.truncated(t_order=window)
+    s = solution.matrix.within(spec)
     summaries = []
     for k, a in enumerate(fd.product):
-        p = a.truncated(t_order=window).widened(spec) * s
+        p = a.within(spec) * s
         defect = SeriesMatrix(tuple(
             tuple(TruncatedSeries(spec, naive_connection_defect(s_ij, p_ij, k, spec))
                   for s_ij, p_ij in zip(*rows))
@@ -368,9 +369,9 @@ def _oracle_gwdvv_summaries(solution, fd):
     S and then cut to the joint window."""
     window = min(solution.spec.t_order - 1, fd.product[0].spec.t_order)
     rank = solution.ring.rank
-    partials = [solution.matrix.derivative(f"t{k}").truncated(t_order=window)
-                for k in range(rank)]
-    a = [p.truncated(t_order=window).widened(partials[0].spec) for p in fd.product]
+    cut = solution.spec.truncated(t_order=window)
+    partials = [solution.matrix.derivative(k).within(cut) for k in range(rank)]
+    a = [p.within(cut) for p in fd.product]
     return [((j, k), residual_summary(
         matrix_pieces({"pair": [j, k]}, a[j] * partials[k] - a[k] * partials[j]),
         window_dict(partials[0].spec)))

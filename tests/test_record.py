@@ -82,10 +82,13 @@ def test_assignment_raises():
 
 
 def test_equality_and_hash_by_value():
-    same = SeriesSpec(2, 1, 4, 1, 3)
-    assert same is not SPEC
-    assert same == SPEC and hash(same) == hash(SPEC)
-    assert len({SPEC, same}) == 1
+    twin, same = LookAlike(2, 1, 4, 1, 3), LookAlike(2, 1, 4, 1, 3)
+    assert same is not twin
+    assert same == twin and hash(same) == hash(twin)
+    assert len({twin, same}) == 1
+    assert twin != LookAlike(2, 1, 4, 1, 2)
+    # SeriesSpec interns its instances: equal specs are one object.
+    assert SeriesSpec(2, 1, 4, 1, 3) is SPEC
     assert SPEC != SeriesSpec(2, 1, 4, 1, 2)
 
 
@@ -122,7 +125,7 @@ class Cached(Record):
 
     @cached_property
     def partial(self) -> TruncatedSeries:
-        return self.series.derivative("t0")
+        return self.series.derivative(0)
 
 
 def test_records_stay_equal_after_one_fills_a_cached_property():

@@ -82,7 +82,7 @@ def test_reciprocal_requires_unit_constant_term():
 def test_derivative_drops_truncation_order():
     spec = SeriesSpec(1, 0, 5, 0, 0)
     e = exp_series(spec, 5)
-    d = e.derivative("t0")
+    d = e.derivative(0)
     assert d.spec.t_order == 4
     assert d == exp_series(SeriesSpec(1, 0, 4, 0, 0), 4)
 
@@ -90,16 +90,30 @@ def test_derivative_drops_truncation_order():
 def test_derivative_of_mixed_monomial():
     spec = SeriesSpec(2, 0, 3, 0, 0)
     m = monomial(spec, {"t0": 2, "t1": 1})
-    d = m.derivative("t0")
+    d = m.derivative(0)
     assert d.coefficient({"t0": 1, "t1": 1}) == 2
     assert len(d.coeffs) == 1
 
 
 def test_unknown_variable_rejected():
     with pytest.raises(UnknownVariable):
-        unit_series(SPEC1).derivative("t7")
+        unit_series(SPEC1).derivative(7)
     with pytest.raises(UnknownVariable):
         monomial(SPEC1, {"u": 1})
+
+
+@pytest.mark.parametrize("spec,k", [
+    (SeriesSpec(2, 1, 3, 1, 1), -1),  # the q slot by negative indexing
+    (SeriesSpec(2, 1, 3, 1, 1), 2),   # num_t: the first Novikov variable
+    (SeriesSpec(1, 2, 3, 1, 1), 2),   # the second Novikov variable
+    (SeriesSpec(1, 0, 3, 0, 1), 2),   # past every variable
+])
+def test_derivative_takes_a_t_index_only(spec, k):
+    a = TruncatedSeries(spec, {(1,) * spec.nvars: 1})
+    with pytest.raises(UnknownVariable, match="no t variable at index"):
+        a.derivative(k)
+    with pytest.raises(UnknownVariable):
+        SeriesMatrix(((a,),)).derivative(k)
 
 
 def test_only_canonical_variable_names_accepted():
@@ -131,7 +145,7 @@ def test_arithmetic_requires_identical_spec():
 def test_truncation_only_lowers():
     a = unit_series(SeriesSpec(1, 0, 3, 0, 0))
     with pytest.raises(IncompatibleSeries):
-        a.truncated(t_order=5)
+        a.within(a.spec.truncated(t_order=5))
 
 
 def test_negative_exponents_rejected():
@@ -199,17 +213,16 @@ def test_ring_laws(a, b, c):
 @given(_series(), _series())
 @settings(max_examples=40, deadline=None)
 def test_multiplication_commutes_with_truncation(a, b):
-    lowered = (a * b).truncated(t_order=2, novikov_order=1)
-    direct = a.truncated(t_order=2, novikov_order=1) * b.truncated(
-        t_order=2, novikov_order=1)
-    assert lowered == direct
+    low = a.spec.truncated(t_order=2, novikov_order=1)
+    assert (a * b).within(low) == a.within(low) * b.within(low)
 
 
 @given(_series())
 @settings(max_examples=40, deadline=None)
 def test_derivative_commutes_with_truncation(a):
-    assert a.derivative("t1").truncated(t_order=1) == \
-        a.truncated(t_order=2).derivative("t1")
+    d = a.derivative(1)
+    assert d.within(d.spec.truncated(t_order=1)) == \
+        a.within(a.spec.truncated(t_order=2)).derivative(1)
 
 
 @given(_series())
@@ -220,7 +233,8 @@ def test_reciprocal_inverts_and_commutes_with_truncation(a):
     # unit now has constant term exactly 1
     r = reciprocal(unit)
     assert unit * r == unit_series(a.spec)
-    assert r.truncated(t_order=2) == reciprocal(unit.truncated(t_order=2))
+    low = a.spec.truncated(t_order=2)
+    assert r.within(low) == reciprocal(unit.within(low))
 
 
 # -- the multiply kernel against the all-pairs oracle ------------------------
@@ -316,8 +330,8 @@ def test_connection_defect_of_constant_solution_is_minus_the_geometric_product(x
 @given(_series())
 @settings(max_examples=20, deadline=None)
 def test_product_on_negative_order_is_empty(a):
-    lowered = a.derivative("q").derivative("q")
-    assert lowered.spec.q_order == -1
+    lowered = a.derivative(0).derivative(1).derivative(0).derivative(1)
+    assert lowered.spec.t_order == -1
     _assert_kernel_matches_oracle(lowered, lowered)
     assert (lowered * lowered).is_zero()
 
@@ -500,11 +514,10 @@ def test_every_operation_returns_canonical_numerators_matching_fractions(pair, s
         (-a, {exp: -v for exp, v in a.coeffs.items()}),
         (a.scaled(scale), {exp: scale * v for exp, v in a.coeffs.items() if scale}),
         (a * b, naive_product(a, b).coeffs),
-        (a.derivative("t0"), naive_derivative(a, "t0")),
-        (a.derivative("q"), naive_derivative(a, "q")),
+        (a.derivative(0), naive_derivative(a, "t0")),
         (_connection_defect(TruncatedSeries.zero(spec), a, 0, spec),
          {exp: -v for exp, v in naive_over_one_minus_q(a).items()}),
-        (a.truncated(t_order=1, q_order=0),
+        (a.within(spec.truncated(t_order=1, q_order=0)),
          {exp: v for exp, v in a.coeffs.items()
           if spec.truncated(t_order=1, q_order=0).admits(exp)}),
     ]
@@ -658,9 +671,11 @@ def test_over_lcm_rescales_each_denominator_group_once():
 
 def test_truncating_to_the_same_orders_returns_the_series_itself():
     a = exp_series(SPEC1, 4)
-    assert a.truncated() is a
-    assert a.truncated(t_order=4, novikov_order=0, q_order=0) is a
-    lower = a.truncated(t_order=2)
+    assert a.within(SPEC1.truncated()) is a
+    assert a.within(SPEC1.truncated(t_order=4, novikov_order=0, q_order=0)) is a
+    m = SeriesMatrix(((a, a), (a, a)))
+    assert m.within(SPEC1) is m
+    lower = a.within(SPEC1.truncated(t_order=2))
     assert lower is not a and lower == exp_series(SPEC1.truncated(t_order=2), 2)
 
 
@@ -673,6 +688,54 @@ def test_truncating_a_spec_to_its_own_orders_returns_the_spec_itself():
     assert lower == SeriesSpec(2, 1, 3, 2, 0) and lower.truncated(q_order=0) is lower
     with pytest.raises(IncompatibleSeries):
         spec.truncated(novikov_order=3)
+
+
+def test_specs_are_interned():
+    spec = SeriesSpec(2, 1, 4, 1, 3)
+    assert spec is SeriesSpec(2, 1, 4, 1, 3)
+    assert spec is SeriesSpec(q_order=3, novikov_order=1, t_order=4, num_novikov=1, num_t=2)
+    assert spec.replace(q_order=0) is SeriesSpec(2, 1, 4, 1, 0)
+    assert spec.replace(q_order=0).replace(q_order=3) is spec
+    assert spec.truncated(t_order=2) is SeriesSpec(2, 1, 2, 1, 3)
+    assert unit_series(spec).derivative(1).spec is spec.truncated(t_order=3)
+    for counts in ((-1, 0), (0, -1)):
+        with pytest.raises(ValueError, match="non-negative"):
+            SeriesSpec(*counts, 2, 0, 0)
+        with pytest.raises(ValueError, match="non-negative"):
+            spec.replace(num_t=counts[0], num_novikov=counts[1])
+
+
+@given(_series(), st.integers(0, 3), st.integers(0, 2), st.integers(0, 1))
+@settings(max_examples=40, deadline=None)
+def test_within_a_lower_window_drops_exactly_what_it_does_not_admit(a, t, n, q):
+    low = SMALL_SPEC.truncated(t_order=t, novikov_order=n, q_order=q)
+    lowered = a.within(low)
+    assert lowered.spec is low
+    assert lowered.coeffs == {exp: v for exp, v in a.coeffs.items() if low.admits(exp)}
+    assert SeriesMatrix(((a,),)).within(low) == SeriesMatrix(((lowered,),))
+
+
+def test_within_lifts_a_q_free_product_into_the_q_window_whole():
+    """The QDE residual's lift: (e_k *) of a product window, q order 0, put
+    in S's window with a q order: every term is kept and multiplies as is."""
+    product = SeriesSpec(2, 1, 3, 1, 0)
+    s_window = product.replace(q_order=4)
+    p = TruncatedSeries(product, {(0, 0, 0, 0): 1, (1, 2, 1, 0): Fraction(-3, 5),
+                                  (3, 0, 0, 0): Fraction(7, 2)})
+    lifted = p.within(s_window)
+    assert lifted.spec is s_window
+    assert (lifted.den, lifted.nums) == (p.den, p.nums)
+    s = TruncatedSeries(s_window, {(0, 0, 0, 4): 2, (1, 0, 1, 1): Fraction(1, 3)})
+    assert (lifted * s).coeffs == naive_product(lifted, s).coeffs
+
+
+def test_within_rejects_another_variable_layout():
+    a = unit_series(SeriesSpec(2, 1, 3, 1, 1))
+    for spec in (SeriesSpec(1, 2, 3, 1, 1), SeriesSpec(2, 0, 3, 1, 1), SeriesSpec(3, 1, 3, 1, 1)):
+        with pytest.raises(IncompatibleSeries, match="windows differ in their variables"):
+            a.within(spec)
+        with pytest.raises(IncompatibleSeries):
+            SeriesMatrix(((a,),)).within(spec)
 
 
 # -- inverse route equivalence ------------------------------------------------
