@@ -26,7 +26,6 @@ from .errors import (
     UnknownVariable,
 )
 from .frobenius import (
-    FlatnessReport,
     FrobeniusData,
     Potential,
     ResidualSummary,

@@ -116,8 +116,9 @@ def _resolve_table(args: argparse.Namespace) -> CorrelatorTable:
     if args.target is None:
         raise ValueError("need --target or --input")
     target_doc = parse_target(args.target)
-    return CorrelatorTable.empty(ring_from_target(target_doc),
-                                 0 if target_doc["type"] == "point" else 1, target_doc)
+    ring = ring_from_target(target_doc)
+    # A rank-one ring is the point, which has no curve classes.
+    return CorrelatorTable.empty(ring, int(ring.rank > 1), target_doc)
 
 
 def cmd_descendent(args: argparse.Namespace) -> int:
@@ -166,9 +167,7 @@ def cmd_frobenius_check(args: argparse.Namespace) -> int:
     potential = assemble_potential(_resolve_table(args), args.t_order,
                                    args.novikov_order)
     fd = build_frobenius_data(potential)
-    flat = flatness_residuals(fd)
-    families = {"wdvv": wdvv_residual(fd), "r1": flat.r1, "r2": flat.r2,
-                "metric": flat.metric, "levicivita": flat.levi_civita,
+    families = {"wdvv": wdvv_residual(fd), **flatness_residuals(fd),
                 "unit": unit_residual(fd), "q0_classical": classical_limit_residual(fd)}
     doc = {name: summary.to_json_dict() for name, summary in families.items()}
     doc["flatness"] = {name: doc.pop(name) for name in ("r1", "r2", "metric")}

@@ -5,8 +5,8 @@ divided by insertion multiplicities; the classical quadratic pairing term
 is the degree-zero two-point correlator.  Second derivatives give the
 quantized metric G_ij, third derivatives contracted with the inverse metric
 give the structure constants of the quantum product.  Everything here is
-exact; each report states the window of orders on which its residual is
-certified.
+exact.  residual_summary reduces each residual family, given as labelled
+series and the spec they were checked on, to a witness and that window.
 
 Truncation bookkeeping: a potential assembled to t-order T certifies the
 metric to T-2, third derivatives and the product to T-3, and the curvature
@@ -37,7 +37,8 @@ class Potential(Record):
 
 
 class ResidualSummary(Record):
-    """Largest absolute coefficient of a residual family, with its location."""
+    """Largest absolute coefficient of a residual family, its witness, and the
+    window it is certified on as {"t", "novikov", "q"} orders."""
 
     max_abs: Fraction
     witness: dict | None
@@ -127,10 +128,6 @@ def build_frobenius_data(potential: Potential) -> FrobeniusData:
     )
 
 
-def window_dict(spec: SeriesSpec) -> dict[str, int]:
-    return {"t": spec.t_order, "novikov": spec.novikov_order, "q": spec.q_order}
-
-
 def matrix_pieces(label: dict, m: SeriesMatrix) -> Iterator[tuple[dict, TruncatedSeries]]:
     """Every entry of m, row by row, labelled with label plus its position."""
     for a, row in enumerate(m.entries):
@@ -139,22 +136,23 @@ def matrix_pieces(label: dict, m: SeriesMatrix) -> Iterator[tuple[dict, Truncate
 
 
 def residual_summary(pieces: Iterable[tuple[dict, TruncatedSeries]],
-                     window: dict[str, int]) -> ResidualSummary:
-    """Scan labeled residual series in order; report the largest coefficient.
-
-    Ties keep the earliest label and smallest exponent, so reports are
-    deterministic functions of the input.
-    """
-    best = Fraction(0)
-    witness: dict | None = None
+                     window: SeriesSpec) -> ResidualSummary:
+    """Scan labelled residual series in order; report the largest |coefficient|
+    on window, the spec they were checked on.  The witness holds the label, the
+    monomial in window's variable names and the signed value.  Ties keep the
+    earliest label, then the lexicographically smallest exponent, so reports
+    are deterministic functions of the input."""
+    best, witness, names = Fraction(0), None, window.vars
     for label, series in pieces:
-        value, exp = series.max_abs_coefficient()
-        if exp is not None and value > best:
+        top = max(map(abs, series.nums.values()), default=0)
+        value = Fraction(top, series.den)
+        if value > best:
             best = value
-            witness = dict(label)
-            witness["monomial"] = series.monomial_dict(exp)
-            witness["value"] = format_rational(Fraction(series.nums[exp], series.den))
-    return ResidualSummary(best, witness, window)
+            exp = min(e for e, num in series.nums.items() if abs(num) == top)
+            witness = {**label, "monomial": {names[i]: p for i, p in enumerate(exp) if p},
+                       "value": format_rational(Fraction(series.nums[exp], series.den))}
+    return ResidualSummary(best, witness, {
+        "t": window.t_order, "novikov": window.novikov_order, "q": window.q_order})
 
 
 def wdvv_residual(fd: FrobeniusData) -> ResidualSummary:
@@ -177,7 +175,7 @@ def wdvv_residual(fd: FrobeniusData) -> ResidualSummary:
                     lhs = sum((c[j][nu] * g[nu][k] for nu in range(rank)), zero)
                     rhs = sum((c[k][nu] * g[nu][j] for nu in range(rank)), zero)
                     pieces.append(({"indices": [i, j, k, l]}, lhs - rhs))
-    return residual_summary(pieces, window_dict(spec3))
+    return residual_summary(pieces, spec3)
 
 
 def unit_residual(fd: FrobeniusData) -> ResidualSummary:
@@ -186,7 +184,7 @@ def unit_residual(fd: FrobeniusData) -> ResidualSummary:
     rank = fd.ring.rank
     diff = fd.product[0] - SeriesMatrix.identity(spec3, rank)
     # The matrix of e_0 * is the transpose of product[0].
-    return residual_summary(matrix_pieces({}, diff.transpose()), window_dict(spec3))
+    return residual_summary(matrix_pieces({}, diff.transpose()), spec3)
 
 
 def classical_limit_residual(fd: FrobeniusData) -> ResidualSummary:
@@ -203,34 +201,17 @@ def classical_limit_residual(fd: FrobeniusData) -> ResidualSummary:
             for k in range(rank):
                 diff = c[j][k] - TruncatedSeries.constant(spec0, fd.ring.mult[i][j][k])
                 pieces.append(({"indices": [i, j, k]}, diff))
-    return residual_summary(pieces, window_dict(spec3))
+    return residual_summary(pieces, spec3)
 
 
-class FlatnessReport(Record):
-    """Curvature of the one-parameter family of connections built from the
-    product: the coefficient of z is the antisymmetrized derivative of the
-    A-family, the coefficient of z^2 is its commutator family, and the
-    Levi-Civita and metric checks are the two distinguished specializations.
-    """
-
-    r1: ResidualSummary
-    r2: ResidualSummary
-    levi_civita: ResidualSummary
-    metric: ResidualSummary
-
-    @property
-    def is_zero(self) -> bool:
-        return (self.r1.is_zero and self.r2.is_zero
-                and self.levi_civita.is_zero and self.metric.is_zero)
-
-
-def flatness_residuals(fd: FrobeniusData) -> FlatnessReport:
+def flatness_residuals(fd: FrobeniusData) -> dict[str, ResidualSummary]:
     """R1, R2 and the metric curvature of A_k = product[k]^T, and the
     Levi-Civita family dG/dt_k - sym(product[k] * G).  The last vanishes on
     all build_frobenius_data output, whatever the table: the certified
     inverse makes product[k] * G equal dG/dt_k, which is symmetric.  On
     that output R1, R2 and the metric curvature repeat WDVV: r1 = -r2 and
-    metric = 3/4 r2 on the T-4 window, so they fail only when WDVV does."""
+    metric = 3/4 r2 on the T-4 window, so they fail only when WDVV does.
+    Keyed by report name: "r1", "r2", "metric" and "levicivita"."""
     rank = fd.ring.rank
     spec3 = fd.product[0].spec
     spec4 = spec3.truncated(t_order=spec3.t_order - 1)
@@ -261,9 +242,7 @@ def flatness_residuals(fd: FrobeniusData) -> FlatnessReport:
                 lc_pieces.append(({"indices": [k, i, j]},
                                   fd.third[k].entries[i][j] - rhs))
 
-    return FlatnessReport(
-        r1=residual_summary(r1_pieces, window_dict(spec4)),
-        r2=residual_summary(r2_pieces, window_dict(spec3)),
-        levi_civita=residual_summary(lc_pieces, window_dict(spec3)),
-        metric=residual_summary(metric_pieces, window_dict(spec4)),
-    )
+    return {"r1": residual_summary(r1_pieces, spec4),
+            "r2": residual_summary(r2_pieces, spec3),
+            "metric": residual_summary(metric_pieces, spec4),
+            "levicivita": residual_summary(lc_pieces, spec3)}

@@ -39,7 +39,6 @@ from .frobenius import (
     ResidualSummary,
     matrix_pieces,
     residual_summary,
-    window_dict,
 )
 from .kring import KRingPresentation
 from .record import Record
@@ -172,7 +171,7 @@ def qde_residual(solution: QDESolution, fd: FrobeniusData) -> list[ResidualSumma
         defect = SeriesMatrix(tuple(
             tuple(_connection_defect(s_ij, p_ij, k, window) for s_ij, p_ij in zip(*rows))
             for rows in zip(solution.matrix.entries, p.entries)))
-        summaries.append(residual_summary(matrix_pieces({"k": k}, defect), window_dict(window)))
+        summaries.append(residual_summary(matrix_pieces({"k": k}, defect), window))
     return summaries
 
 
@@ -194,7 +193,7 @@ def gwdvv_residuals(solution: QDESolution, fd: FrobeniusData
         for k in range(j + 1, rank):
             residual = a_trunc[j] * partials[k] - a_trunc[k] * partials[j]
             summaries.append(((j, k), residual_summary(
-                matrix_pieces({"pair": [j, k]}, residual), window_dict(residual.spec))))
+                matrix_pieces({"pair": [j, k]}, residual), residual.spec)))
     return summaries
 
 

@@ -80,6 +80,8 @@ class SeriesSpec(Record):
         fields = num_t, num_novikov, t_order, novikov_order, q_order
         spec = cls._interned.get(fields)
         if spec is None:
+            if not {int}.issuperset(map(type, fields)):
+                raise TypeError("spec fields must be ints")
             if num_t < 0 or num_novikov < 0:
                 raise ValueError("variable counts must be non-negative")
             spec = cls._interned[fields] = object.__new__(cls)
@@ -88,16 +90,9 @@ class SeriesSpec(Record):
         return spec
 
     @property
-    def t_vars(self) -> tuple[str, ...]:
-        return tuple(f"t{i}" for i in range(self.num_t))
-
-    @property
-    def novikov_vars(self) -> tuple[str, ...]:
-        return tuple(f"Q{i}" for i in range(self.num_novikov))
-
-    @property
     def vars(self) -> tuple[str, ...]:
-        return self.t_vars + self.novikov_vars + ("q",)
+        return (*[f"t{i}" for i in range(self.num_t)],
+                *[f"Q{i}" for i in range(self.num_novikov)], "q")
 
     @property
     def nvars(self) -> int:
@@ -111,11 +106,6 @@ class SeriesSpec(Record):
         nt = self.num_t
         return (exp[-1] <= self.q_order and sum(exp[:nt]) <= self.t_order
                 and sum(exp[nt:-1]) <= self.novikov_order)
-
-    def var_position(self, name: str) -> int:
-        if name not in self.vars:
-            raise UnknownVariable(f"{name!r} not among {self.vars}")
-        return self.vars.index(name)
 
     def truncated(self, t_order: int | None = None, novikov_order: int | None = None,
                   q_order: int | None = None) -> "SeriesSpec":
@@ -221,31 +211,12 @@ class TruncatedSeries(Record):
         den = self.den
         return {exp: Fraction(num, den) for exp, num in self.nums.items()}
 
-    def coefficient(self, powers: Mapping[str, int]) -> Fraction:
-        exp = [0] * self.spec.nvars
-        for name, p in powers.items():
-            exp[self.spec.var_position(name)] += p
-        return Fraction(self.nums.get(tuple(exp), 0), self.den)
-
     @property
     def constant_term(self) -> Fraction:
         return Fraction(self.nums.get((0,) * self.spec.nvars, 0), self.den)
 
     def is_zero(self) -> bool:
         return not self.nums
-
-    def max_abs_coefficient(self) -> tuple[Fraction, Exponent | None]:
-        """Largest absolute coefficient and its exponent; ties go to the
-        lexicographically smallest exponent so reports are deterministic."""
-        if not self.nums:
-            return Fraction(0), None
-        top = max(map(abs, self.nums.values()))
-        where = min(exp for exp, num in self.nums.items() if abs(num) == top)
-        return Fraction(top, self.den), where
-
-    def monomial_dict(self, exp: Exponent) -> dict[str, int]:
-        names = self.spec.vars
-        return {names[i]: e for i, e in enumerate(exp) if e}
 
     # -- arithmetic --------------------------------------------------------
 
@@ -377,12 +348,9 @@ class TruncatedSeries(Record):
             {"exp": list(exp), "value": format_rational(value)}
             for exp, value in sorted(self.coeffs.items())
         ]
+        names, nt = self.spec.vars, self.spec.num_t
         return {
-            "vars": {
-                "t": list(self.spec.t_vars),
-                "Q": list(self.spec.novikov_vars),
-                "q": ["q"],
-            },
+            "vars": {"t": list(names[:nt]), "Q": list(names[nt:-1]), "q": ["q"]},
             "trunc": {
                 "t": self.spec.t_order,
                 "Q": self.spec.novikov_order,

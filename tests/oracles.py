@@ -187,13 +187,23 @@ def unit_series(spec: SeriesSpec) -> TruncatedSeries:
     return TruncatedSeries.constant(spec, 1)
 
 
-def monomial(spec: SeriesSpec, powers: dict[str, int], value=1) -> TruncatedSeries:
-    """value times the monomial with the given powers, variables named as in
-    the spec ("t0", "Q0", "q")."""
+def exponent(spec: SeriesSpec, powers: dict[str, int]) -> tuple[int, ...]:
+    """The exponent tuple of the monomial with the given powers, variables
+    named as in spec.vars ("t0", "Q0", "q"); ValueError on any other name."""
     exp = [0] * spec.nvars
     for name, p in powers.items():
-        exp[spec.var_position(name)] += p
-    return TruncatedSeries(spec, {tuple(exp): value})
+        exp[spec.vars.index(name)] += p
+    return tuple(exp)
+
+
+def coefficient(series: TruncatedSeries, powers: dict[str, int]) -> Fraction:
+    """The coefficient of the named monomial, zero when absent."""
+    return Fraction(series.nums.get(exponent(series.spec, powers), 0), series.den)
+
+
+def monomial(spec: SeriesSpec, powers: dict[str, int], value=1) -> TruncatedSeries:
+    """value times the monomial with the given powers."""
+    return TruncatedSeries(spec, {exponent(spec, powers): value})
 
 
 # -- series product oracle ---------------------------------------------------
@@ -223,7 +233,7 @@ def naive_sum(a: TruncatedSeries, b: TruncatedSeries) -> dict[tuple[int, ...], F
 
 def naive_derivative(a: TruncatedSeries, name: str) -> dict[tuple[int, ...], Fraction]:
     """Term-by-term Fraction derivative: k x^k becomes k x^(k-1)."""
-    pos = a.spec.var_position(name)
+    pos = a.spec.vars.index(name)
     return {
         exp[:pos] + (exp[pos] - 1,) + exp[pos + 1 :]: exp[pos] * value
         for exp, value in a.coeffs.items() if exp[pos]

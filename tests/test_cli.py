@@ -264,6 +264,31 @@ def test_frobenius_check_positive_degree_matches_golden(capsys):
     assert err == "NONZERO residuals found; see report\n"
 
 
+def test_frobenius_check_rank_three_positive_degree_matches_golden(capsys):
+    """P^2 with degrees 1 and 2 and up to six insertions, each entry 1 when
+    it has at most two point insertions and 0 otherwise.  The report pins
+    rank-3 WDVV witnesses, whose indices range over three classes; WDVV,
+    r1, r2 and the metric fail."""
+    code, out, err = run_cli(
+        ["frobenius-check", "--input", str(DATA / "frobenius_p2_degree_two_input.json"),
+         "--t-order", "6", "--q-order", "2"], capsys)
+    assert code == 3
+    assert out == (DATA / "frobenius_p2_degree_two.golden.json").read_text()
+    assert err == "NONZERO residuals found; see report\n"
+
+
+@pytest.mark.parametrize("args", [
+    ["frobenius-check", "--t-order", "4"],
+    ["qde-check", "--t-order", "6", "--desc-order", "3"],
+    ["potential", "--t-order", "5"],
+])
+def test_projective_zero_is_the_point_at_positive_novikov_order(args, capsys):
+    # P^0 is the point, which has no curve classes: no degree is demanded.
+    point = run_cli(args + ["--target", "point", "--q-order", "1"], capsys)
+    assert point[0] == 0
+    assert run_cli(args + ["--target", "projective:0", "--q-order", "1"], capsys) == point
+
+
 def test_qde_check_differentiates_once_per_variable(tmp_path, capsys,
                                                    monkeypatch):
     ring = projective_space_kring(2)

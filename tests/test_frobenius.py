@@ -14,6 +14,7 @@ from qkzero import (
     IncompleteTable,
     KRingPresentation,
     SeriesMatrix,
+    SeriesSpec,
     TruncatedSeries,
     assemble_potential,
     build_frobenius_data,
@@ -26,9 +27,11 @@ from qkzero import (
     unit_residual,
     wdvv_residual,
 )
+from qkzero.frobenius import residual_summary
 
 from oracles import (
     chi_exponential_series,
+    coefficient,
     matrix_inverse_direct,
     monomial,
     p2_line_bundle_kring,
@@ -52,10 +55,10 @@ def point_potential(t_order):
 
 def test_point_potential_is_exponential_without_low_terms():
     p = point_potential(10)
-    assert p.series.coefficient({}) == 0
-    assert p.series.coefficient({"t0": 1}) == 0
+    assert coefficient(p.series, {}) == 0
+    assert coefficient(p.series, {"t0": 1}) == 0
     for n in range(2, 11):
-        assert p.series.coefficient({"t0": n}) == Fraction(1, factorial(n))
+        assert coefficient(p.series, {"t0": n}) == Fraction(1, factorial(n))
 
 
 def test_point_metric_is_exponential():
@@ -63,7 +66,7 @@ def test_point_metric_is_exponential():
     entry = fd.gmetric.entries[0][0]
     assert entry.spec.t_order == 8
     for n in range(9):
-        assert entry.coefficient({"t0": n}) == Fraction(1, factorial(n))
+        assert coefficient(entry, {"t0": n}) == Fraction(1, factorial(n))
 
 
 def test_point_product_is_constant_one():
@@ -76,8 +79,7 @@ def test_point_product_is_constant_one():
 def test_point_identities_vanish_exactly():
     fd = build_frobenius_data(point_potential(10))
     assert wdvv_residual(fd).is_zero
-    flat = flatness_residuals(fd)
-    assert flat.is_zero
+    assert all(family.is_zero for family in flatness_residuals(fd).values())
     assert unit_residual(fd).is_zero
     assert classical_limit_residual(fd).is_zero
 
@@ -85,12 +87,12 @@ def test_point_identities_vanish_exactly():
 def test_projective_line_potential_low_coefficients():
     p = assemble_potential(empty_table(P1, 1, {"type": "projective", "n": 1}),
                            3, 0)
-    assert p.series.coefficient({"t0": 2}) == Fraction(1, 2)
-    assert p.series.coefficient({"t0": 1, "t1": 1}) == 1
-    assert p.series.coefficient({"t1": 2}) == 0
-    assert p.series.coefficient({"t0": 3}) == Fraction(1, 6)
-    assert p.series.coefficient({"t0": 2, "t1": 1}) == Fraction(1, 2)
-    assert p.series.coefficient({"t0": 1, "t1": 2}) == 0
+    assert coefficient(p.series, {"t0": 2}) == Fraction(1, 2)
+    assert coefficient(p.series, {"t0": 1, "t1": 1}) == 1
+    assert coefficient(p.series, {"t1": 2}) == 0
+    assert coefficient(p.series, {"t0": 3}) == Fraction(1, 6)
+    assert coefficient(p.series, {"t0": 2, "t1": 1}) == Fraction(1, 2)
+    assert coefficient(p.series, {"t0": 1, "t1": 2}) == 0
 
 
 def test_two_point_term_is_the_pairing():
@@ -127,12 +129,12 @@ def test_projective_line_metric_closed_form():
     gm = quantized_metric(p)
     for k in range(5):
         inv_k = Fraction(1, factorial(k))
-        assert gm.entries[0][0].coefficient({"t0": k}) == inv_k
-        assert gm.entries[0][1].coefficient({"t0": k}) == inv_k
-        assert gm.entries[1][1].coefficient({"t0": k}) == 0
+        assert coefficient(gm.entries[0][0], {"t0": k}) == inv_k
+        assert coefficient(gm.entries[0][1], {"t0": k}) == inv_k
+        assert coefficient(gm.entries[1][1], {"t0": k}) == 0
         if k < 4:  # stay inside the certified total degree
-            assert gm.entries[0][0].coefficient({"t0": k, "t1": 1}) == inv_k
-            assert gm.entries[0][1].coefficient({"t0": k, "t1": 1}) == 0
+            assert coefficient(gm.entries[0][0], {"t0": k, "t1": 1}) == inv_k
+            assert coefficient(gm.entries[0][1], {"t0": k, "t1": 1}) == 0
     assert gm.entries[0][1] == gm.entries[1][0]
 
 
@@ -147,8 +149,8 @@ def test_projective_classical_identities(ring, target):
     fd = build_frobenius_data(p)
     assert wdvv_residual(fd).is_zero
     flat = flatness_residuals(fd)
-    assert flat.r1.is_zero and flat.r2.is_zero
-    assert flat.levi_civita.is_zero and flat.metric.is_zero
+    assert flat["r1"].is_zero and flat["r2"].is_zero
+    assert flat["levicivita"].is_zero and flat["metric"].is_zero
     assert unit_residual(fd).is_zero
     assert classical_limit_residual(fd).is_zero
 
@@ -285,7 +287,7 @@ def test_p4_pipeline_builds_its_matrices_on_few_window_objects(monkeypatch):
     fd = build_frobenius_data(assemble_potential(
         empty_table(projective_space_kring(4), 1, {"type": "projective", "n": 4}), 8, 0))
     families = (wdvv_residual(fd), unit_residual(fd), classical_limit_residual(fd),
-                flatness_residuals(fd))
+                *flatness_residuals(fd).values())
     assert all(family.is_zero for family in families)
     assert 3 <= len(specs) <= 10
 
@@ -304,9 +306,9 @@ def test_positive_degree_terms_flow_into_potential():
             table = table.with_entry((1,), kappa, Fraction(1))
     p = assemble_potential(table, 4, 1)
     # Q-linear, t-free term comes from the empty-insertion correlator.
-    assert p.series.coefficient({"Q0": 1}) == 1
-    assert p.series.coefficient({"Q0": 1, "t0": 2}) == Fraction(1, 2)
-    assert p.series.coefficient({"Q0": 1, "t0": 1, "t1": 1}) == 1
+    assert coefficient(p.series, {"Q0": 1}) == 1
+    assert coefficient(p.series, {"Q0": 1, "t0": 2}) == Fraction(1, 2)
+    assert coefficient(p.series, {"Q0": 1, "t0": 1, "t1": 1}) == 1
 
 
 def test_potential_forms_one_class_product_per_multiset(monkeypatch):
@@ -394,9 +396,32 @@ def test_r1_detects_non_potential_family():
     # Entry (0, 1) of the action A_1 = product[1]^T.
     crooked = _bumped(fd, 1, 1, 0)
     flat = flatness_residuals(crooked)
-    assert not flat.r1.is_zero
-    assert flat.r1.witness["pair"] == [0, 1]
-    assert flat.r1.witness["entry"] == [0, 1]
+    assert not flat["r1"].is_zero
+    assert flat["r1"].witness["pair"] == [0, 1]
+    assert flat["r1"].witness["entry"] == [0, 1]
+
+
+def test_residual_summary_keeps_the_first_largest_coefficient():
+    spec = SeriesSpec(2, 1, 3, 2, 1)
+    labels = [{"k": k} for k in range(4)]
+    pieces = [
+        TruncatedSeries.zero(spec),
+        monomial(spec, {"q": 1}, Fraction(1, 2)),
+        # |-3/2| ties 3/2 inside the series: the smaller exponent t1 wins
+        # over t0 Q0, with its sign.
+        monomial(spec, {"t0": 1, "Q0": 1}, Fraction(3, 2))
+        + monomial(spec, {"t1": 1}, Fraction(-3, 2)) + monomial(spec, {}, 1),
+        # Equal maximum, later label: not the witness.
+        monomial(spec, {}, Fraction(-3, 2)),
+    ]
+    summary = residual_summary(zip(labels, pieces), spec)
+    assert summary.max_abs == Fraction(3, 2)
+    assert summary.witness == {"k": 2, "monomial": {"t1": 1}, "value": "-3/2"}
+    assert summary.window == {"t": 3, "novikov": 2, "q": 1}
+    assert labels[2] == {"k": 2}
+    zero = residual_summary([({"k": 0}, TruncatedSeries.zero(spec))], spec.truncated(q_order=0))
+    assert zero.to_json_dict() == {"max_residual": "0/1", "witness": None}
+    assert zero.is_zero and zero.window == {"t": 3, "novikov": 2, "q": 0}
 
 
 def test_unit_residual_reports_entries_of_the_action():
@@ -415,13 +440,13 @@ def test_levi_civita_detects_product_not_built_from_the_metric():
         (0,), (0, 1, 1, 1), Fraction(1, 5))
     fd = build_frobenius_data(assemble_potential(table, 7, 0))
     assert not wdvv_residual(fd).is_zero
-    assert flatness_residuals(fd).levi_civita.is_zero
+    assert flatness_residuals(fd)["levicivita"].is_zero
     # On the classical line G = exp(t0) [[1 + t1, 1], [1, 0]].  t0 in
     # c_{01}^1 shifts row 1 of product[0] * G by t0 G[1] = t0 exp(t0) (1, 0),
     # so only (product[0] * G)[1][0] moves: the symmetrized pieces (0, 0, 1)
     # and (0, 1, 0) move by -t0 exp(t0) / 2, whose largest coefficients are
     # the 1/2s at t0 and t0^2.
-    lc = flatness_residuals(_bumped(_classical_p1(), 0, 1, 1)).levi_civita
+    lc = flatness_residuals(_bumped(_classical_p1(), 0, 1, 1))["levicivita"]
     assert lc.max_abs == Fraction(1, 2)
     assert lc.witness["indices"] == [0, 0, 1]
     assert lc.witness["monomial"] == {"t0": 1}
@@ -450,10 +475,10 @@ def test_flatness_families_repeat_wdvv(n, insertions, value, t_order, reported):
             r2 = r2.within(r2.spec.truncated(t_order=window))
             assert r1 == r2.scaled(-1)
     flat = flatness_residuals(fd)
-    assert not flat.r1.is_zero
-    assert flat.metric.max_abs == Fraction(3, 4) * flat.r1.max_abs
-    assert Fraction(flat.metric.witness.pop("value")) == \
-        Fraction(-3, 4) * Fraction(flat.r1.witness.pop("value"))
-    assert flat.metric.witness == flat.r1.witness
+    assert not flat["r1"].is_zero
+    assert flat["metric"].max_abs == Fraction(3, 4) * flat["r1"].max_abs
+    assert Fraction(flat["metric"].witness.pop("value")) == \
+        Fraction(-3, 4) * Fraction(flat["r1"].witness.pop("value"))
+    assert flat["metric"].witness == flat["r1"].witness
     if reported:
-        assert (flat.r1.max_abs, flat.r2.max_abs, flat.metric.max_abs) == reported
+        assert (flat["r1"].max_abs, flat["r2"].max_abs, flat["metric"].max_abs) == reported

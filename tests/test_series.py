@@ -31,6 +31,7 @@ from qkzero import (
 from qkzero.qde import _connection_defect
 from oracles import (
     NotInvertible,
+    coefficient,
     geometric_q,
     matrix_inverse_direct,
     monomial,
@@ -59,7 +60,7 @@ def test_exp_square_matches_hand_expansion():
     e = exp_series(SPEC1, 4)
     sq = e * e
     for k in range(5):
-        assert sq.coefficient({"t0": k}) == Fraction(2**k, factorial(k))
+        assert coefficient(sq, {"t0": k}) == Fraction(2**k, factorial(k))
 
 
 def test_reciprocal_of_truncated_exp():
@@ -67,9 +68,9 @@ def test_reciprocal_of_truncated_exp():
     a = TruncatedSeries(spec, {
         (0, 0): Fraction(1), (1, 0): Fraction(1), (2, 0): Fraction(1, 2)})
     r = reciprocal(a)
-    assert r.coefficient({"t0": 0}) == 1
-    assert r.coefficient({"t0": 1}) == -1
-    assert r.coefficient({"t0": 2}) == Fraction(1, 2)
+    assert coefficient(r, {"t0": 0}) == 1
+    assert coefficient(r, {"t0": 1}) == -1
+    assert coefficient(r, {"t0": 2}) == Fraction(1, 2)
     assert (a * r) == unit_series(spec)
 
 
@@ -91,15 +92,13 @@ def test_derivative_of_mixed_monomial():
     spec = SeriesSpec(2, 0, 3, 0, 0)
     m = monomial(spec, {"t0": 2, "t1": 1})
     d = m.derivative(0)
-    assert d.coefficient({"t0": 1, "t1": 1}) == 2
+    assert coefficient(d, {"t0": 1, "t1": 1}) == 2
     assert len(d.coeffs) == 1
 
 
 def test_unknown_variable_rejected():
     with pytest.raises(UnknownVariable):
         unit_series(SPEC1).derivative(7)
-    with pytest.raises(UnknownVariable):
-        monomial(SPEC1, {"u": 1})
 
 
 @pytest.mark.parametrize("spec,k", [
@@ -118,10 +117,7 @@ def test_derivative_takes_a_t_index_only(spec, k):
 
 def test_only_canonical_variable_names_accepted():
     spec = SeriesSpec(2, 1, 3, 1, 1)
-    assert [spec.var_position(name) for name in spec.vars] == [0, 1, 2, 3]
-    for name in ("t01", "t2", "Q1", "Q01", "t", "T0", "t\u0661", "q0"):
-        with pytest.raises(UnknownVariable):
-            spec.var_position(name)
+    assert spec.vars == ("t0", "t1", "Q0", "q")
 
 
 def test_arithmetic_requires_identical_spec():
@@ -580,8 +576,7 @@ def test_constructor_puts_mixed_fractions_over_one_reduced_denominator():
     assert x.nums == {(0, 0): 3**30, (1, 0): 2**41, (2, 0): 5 * 2**40 * 3**30}
     assert x.coeffs == {(0, 0): Fraction(1, 2**40), (1, 0): Fraction(2, 3**30),
                         (2, 0): Fraction(5)}
-    assert x.coefficient({"t0": 3}) == 0 and x.constant_term == Fraction(1, 2**40)
-    assert x.max_abs_coefficient() == (Fraction(5), (2, 0))
+    assert coefficient(x, {"t0": 3}) == 0 and x.constant_term == Fraction(1, 2**40)
     # halving every coefficient of 2/4 + 6/4 t leaves 1/4 + 3/4 t, den 4
     y = TruncatedSeries(spec, {(0, 0): Fraction(2, 4), (1, 0): Fraction(6, 4)})
     assert (y.den, y.nums) == (2, {(0, 0): 1, (1, 0): 3})
@@ -703,6 +698,17 @@ def test_specs_are_interned():
             SeriesSpec(*counts, 2, 0, 0)
         with pytest.raises(ValueError, match="non-negative"):
             spec.replace(num_t=counts[0], num_novikov=counts[1])
+
+
+def test_spec_fields_must_be_ints():
+    # q order 29 is a window no other test builds, so this call is its
+    # first build: a bool or float field must not become the interned spec.
+    with pytest.raises(TypeError, match="spec fields must be ints"):
+        SeriesSpec(True, 0, 2.0, 0, 29)
+    spec = SeriesSpec(1, 0, 2, 0, 29)
+    assert type(spec.num_t) is int and type(spec.t_order) is int
+    # An equal request for an existing window gets the int spec.
+    assert SeriesSpec(True, 0, 2.0, 0, 29) is spec
 
 
 @given(_series(), st.integers(0, 3), st.integers(0, 2), st.integers(0, 1))
