@@ -12,18 +12,13 @@ from .correlators import (
 )
 from .descendents import descendent_euler
 from .errors import (
-    DuplicateEntry,
     IncompatibleSeries,
     IncompleteTable,
-    IneffectiveDegree,
     InvalidPresentation,
     NotReducible,
     QKError,
-    RingMismatch,
     SchemaError,
     SingularMetric,
-    TruncationMismatch,
-    UnknownVariable,
 )
 from .frobenius import (
     FrobeniusData,

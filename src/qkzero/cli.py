@@ -290,7 +290,7 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         return args.run(args)
-    except (QKError, OSError, ValueError, json.JSONDecodeError) as exc:
+    except (QKError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
 

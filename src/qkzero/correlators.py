@@ -25,7 +25,7 @@ from itertools import combinations_with_replacement
 from math import factorial, prod
 from typing import Callable, Iterable, Iterator
 
-from .errors import DuplicateEntry, IneffectiveDegree, SchemaError
+from .errors import SchemaError
 from .kring import KRingPresentation, point_kring, projective_space_kring
 from .record import Record
 from .series import format_rational, parse_rational
@@ -49,7 +49,7 @@ def table_key(rank: int, degree_rank: int, beta: object, insertions: object,
     if len(beta) != degree_rank:
         raise SchemaError(f"degree vector {list(beta)} has length != {degree_rank}")
     if any(b < 0 for b in beta):
-        raise IneffectiveDegree(f"degree vector {list(beta)} has a negative component")
+        raise SchemaError(f"degree vector {list(beta)} has a negative component")
     if not isinstance(insertions, (list, tuple)) or any(type(i) is not int for i in insertions):
         raise SchemaError(f"insertions must be a list of integers, got {insertions!r}")
     if any(i < 0 or i >= rank for i in insertions):
@@ -119,10 +119,12 @@ def degree_zero_chi(ring: KRingPresentation) -> Callable[[Iterable[int]], Fracti
     products: dict[tuple[int, ...], tuple] = {(): (1,) + (0,) * (ring.rank - 1)}
 
     def chi(insertions: Iterable[int]) -> Fraction:
-        key = tuple(sorted(int(i) for i in insertions))
-        if key and (key[0] < 0 or key[-1] >= ring.rank):
+        key = tuple(insertions)
+        if key and not ({int}.issuperset(map(type, key))
+                        and 0 <= min(key) and max(key) < ring.rank):
             raise ValueError(
                 f"insertion index out of range 0..{ring.rank - 1}: {list(key)}")
+        key = tuple(sorted(key))
         cut = len(key)
         while key[:cut] not in products:
             cut -= 1
@@ -218,7 +220,7 @@ def load_correlators(doc: object) -> CorrelatorTable:
             raise SchemaError(f"malformed correlator entry: {item!r}")
         key = table_key(ring.rank, degree_rank, item["beta"], item["insertions"])
         if key in entries:
-            raise DuplicateEntry(f"duplicate correlator key {key}")
+            raise SchemaError(f"duplicate correlator key {key}")
         entries[key] = parse_rational(item["value"])
 
     descendent_entries: dict[MarkedKey, Fraction] = {}
@@ -231,7 +233,7 @@ def load_correlators(doc: object) -> CorrelatorTable:
         key = table_key(ring.rank, degree_rank, item["beta"], item["insertions"],
                         (marked["class"], marked["power"]))
         if key in descendent_entries:
-            raise DuplicateEntry(f"duplicate descendent key {key}")
+            raise SchemaError(f"duplicate descendent key {key}")
         descendent_entries[key] = parse_rational(item["value"])
 
     return CorrelatorTable(ring, degree_rank, dict(doc["target"]),

@@ -83,9 +83,8 @@ def _convolved(dim: int, ones: int, rest: list[int], last: int) -> int:
     return _convolve(w, dim, last)
 
 
-def _packed(dim: int, ones: int, rest: list[int], last: int,
-            limit: float = PACKED_MAX_BITS) -> int | None:
-    """E by one big-integer product, or None when it would exceed limit bits.
+def _packed(dim: int, ones: int, rest: list[int], last: int) -> int | None:
+    """E by one big-integer product, or None past PACKED_MAX_BITS bits.
 
     The factors are A = N! e^y L_last, (1 + y)^ones and k! L_d for d in rest,
     truncated to degree N.  At y = 1 they are at most 3 N! min(C(N + last, N),
@@ -93,7 +92,7 @@ def _packed(dim: int, ones: int, rest: list[int], last: int,
     of those bounds, so no coefficient of the product reaches 2^b.
     """
     slots = dim + 1 + ones + sum(min(d, dim) for d in rest)
-    if slots * (dim + ones) > limit:  # b > dim + ones, so before taking N!
+    if slots * (dim + ones) > PACKED_MAX_BITS:  # b > dim + ones, so before taking N!
         return None
     f = factorial(dim)
     top = comb(dim + last, dim)
@@ -105,7 +104,7 @@ def _packed(dim: int, ones: int, rest: list[int], last: int,
         scale *= k_factorial
         b += k_factorial.bit_length() + (d if d == k else
                                          min(d, comb(d + k, k).bit_length()))
-    if b * slots > limit:
+    if b * slots > PACKED_MAX_BITS:
         return None
     # Horner from the top: A's coefficient N!/r! C(r + last, last) times
     # r^2 / (r + last) is the next one down, exactly.

@@ -1,4 +1,5 @@
-"""Exception taxonomy shared by all qkzero modules."""
+"""Exception taxonomy shared by all qkzero modules: seven classes under
+QKError.  The CLI exits 2 on NotReducible and 1 on any other QKError."""
 
 from __future__ import annotations
 
@@ -8,11 +9,9 @@ class QKError(Exception):
 
 
 class IncompatibleSeries(QKError):
-    """Arithmetic attempted between series with different variable layouts or truncation orders."""
-
-
-class UnknownVariable(QKError):
-    """A variable name that does not belong to the series' variable groups."""
+    """Objects whose variables, windows or rings do not fit together: series
+    arithmetic across windows, a t index outside the series' variables, or a
+    QDE solution checked against product data it cannot be aligned with."""
 
 
 class SingularMetric(QKError):
@@ -22,10 +21,6 @@ class SingularMetric(QKError):
 class InvalidPresentation(QKError):
     """A ring presentation violating commutativity, associativity, the unit law,
     pairing symmetry, pairing invertibility, or multiplication/pairing compatibility."""
-
-
-class RingMismatch(QKError):
-    """A QDE solution checked against product data built on a different ring."""
 
 
 class NotReducible(QKError):
@@ -51,15 +46,8 @@ class NotReducible(QKError):
 
 
 class SchemaError(QKError):
-    """Malformed JSON document for a ring presentation or correlator table."""
-
-
-class DuplicateEntry(SchemaError):
-    """Two correlator entries with the same key after multiset normalization."""
-
-
-class IneffectiveDegree(SchemaError):
-    """A degree vector with a negative component."""
+    """Malformed input for a ring presentation or correlator table, among them
+    a duplicate key after multiset normalization and a negative degree."""
 
 
 class IncompleteTable(QKError):
@@ -80,7 +68,3 @@ class IncompleteTable(QKError):
         if self.marked is not None:
             label += f", marked=(class {self.marked[0]}, power {self.marked[1]})"
         return label
-
-
-class TruncationMismatch(QKError):
-    """Residual evaluation attempted on objects whose truncations cannot be aligned."""

@@ -22,7 +22,7 @@ from fractions import Fraction
 
 from .errors import InvalidPresentation, SchemaError
 from .record import Record
-from .series import format_rational, parse_rational, try_rational_inverse
+from .series import _exact, format_rational, parse_rational, try_rational_inverse
 
 
 class KRingPresentation(Record):
@@ -36,10 +36,10 @@ class KRingPresentation(Record):
         if r == 0:
             raise InvalidPresentation("empty basis")
         mult = tuple(
-            tuple(tuple(Fraction(x) for x in row) for row in plane)
+            tuple(tuple(Fraction(_exact(x)) for x in row) for row in plane)
             for plane in self.mult
         )
-        pairing = tuple(tuple(Fraction(x) for x in row) for row in self.pairing)
+        pairing = tuple(tuple(Fraction(_exact(x)) for x in row) for row in self.pairing)
         if len(mult) != r or any(len(p) != r or any(len(row) != r for row in p) for p in mult):
             raise InvalidPresentation("multiplication tensor must be rank x rank x rank")
         if len(pairing) != r or any(len(row) != r for row in pairing):

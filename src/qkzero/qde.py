@@ -22,10 +22,11 @@ truncations certify jointly; the q window never shrinks because 1/(1-q)
 acts as a running sum in q, whose q^m coefficient reads only the known
 q^0..q^m coefficients.  The connection residual reads S and (e_k *) S row
 by row and copies neither; only associativity differentiates S, at rank 2 or
-more.  The product is a function of t and Q alone: its
-spec must have q order 0 and the Novikov truncation of S (TruncationMismatch
-otherwise), and each residual lifts it into S's q window unchanged
-(SeriesMatrix.within).  Only this module reads a descendent order.
+more.  The product is built on S's ring as a function of t and Q alone:
+its spec must have q order 0 and the Novikov truncation of S
+(IncompatibleSeries otherwise), and each residual lifts it into S's q
+window unchanged (SeriesMatrix.within).  Only this module reads a
+descendent order.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from __future__ import annotations
 from math import lcm
 
 from .correlators import CorrelatorTable, degree_zero_chi, insertion_multisets
-from .errors import IncompleteTable, RingMismatch, TruncationMismatch
+from .errors import IncompatibleSeries, IncompleteTable
 from .frobenius import (
     FrobeniusData,
     ResidualSummary,
@@ -118,17 +119,17 @@ def assemble_fundamental_solution(table: CorrelatorTable, t_order: int,
 
 def _aligned_window(solution: QDESolution, fd: FrobeniusData) -> int:
     if solution.ring != fd.ring:
-        raise RingMismatch("solution and product data use different rings")
+        raise IncompatibleSeries("solution and product data use different rings")
     s_spec = solution.spec
     a_spec = fd.product[0].spec
     if s_spec.num_novikov != a_spec.num_novikov \
             or s_spec.novikov_order != a_spec.novikov_order:
-        raise TruncationMismatch("Novikov truncations differ")
+        raise IncompatibleSeries("Novikov truncations differ")
     if a_spec.q_order:
-        raise TruncationMismatch(f"the product carries q to order {a_spec.q_order}")
+        raise IncompatibleSeries(f"the product carries q to order {a_spec.q_order}")
     window = min(s_spec.t_order - 1, a_spec.t_order)
     if window < 0:
-        raise TruncationMismatch("no common t window for the residual")
+        raise IncompatibleSeries("no common t window for the residual")
     return window
 
 

@@ -26,12 +26,7 @@ from math import gcd, lcm
 from operator import mul
 from typing import Iterable, Mapping
 
-from .errors import (
-    IncompatibleSeries,
-    SchemaError,
-    SingularMetric,
-    UnknownVariable,
-)
+from .errors import IncompatibleSeries, SchemaError, SingularMetric
 from .record import Record
 
 Exponent = tuple[int, ...]
@@ -78,10 +73,10 @@ class SeriesSpec(Record):
 
     def __new__(cls, num_t, num_novikov, t_order, novikov_order, q_order) -> "SeriesSpec":
         fields = num_t, num_novikov, t_order, novikov_order, q_order
+        if not {int}.issuperset(map(type, fields)):
+            raise TypeError("spec fields must be ints")
         spec = cls._interned.get(fields)
         if spec is None:
-            if not {int}.issuperset(map(type, fields)):
-                raise TypeError("spec fields must be ints")
             if num_t < 0 or num_novikov < 0:
                 raise ValueError("variable counts must be non-negative")
             spec = cls._interned[fields] = object.__new__(cls)
@@ -123,8 +118,8 @@ class SeriesSpec(Record):
 
 
 def _exact(value: RationalLike) -> RationalLike:
-    """The value itself, once it is known to be an exact rational."""
-    if isinstance(value, (Fraction, int)):
+    """The value itself, once it is known to be an int or Fraction (not a bool)."""
+    if type(value) in (int, Fraction):
         return value
     raise TypeError(f"coefficients must be exact rationals, got {type(value).__name__}")
 
@@ -254,10 +249,9 @@ class TruncatedSeries(Record):
         """Product truncated to the common window.
 
         A one-term factor at the zero exponent scales the other operand.
-        Otherwise the smaller operand's terms are grouped by degree triple,
-        the groups sorted by q degree.  Each term of the larger operand scans
-        the groups only up to its remaining q room and skips groups beyond
-        its t or Novikov room, so no out-of-window product is ever formed.
+        Otherwise the smaller operand's terms are grouped by degree triple.
+        Each term of the larger operand skips the groups beyond its t,
+        Novikov or q room, so no out-of-window product is ever formed.
         Exponents are packed into one int per term, a field of
         bit_length(budget) bits per variable; in-window sums never carry
         between fields, so adding the ints adds the exponents.  Integer
@@ -280,7 +274,6 @@ class TruncatedSeries(Record):
         for exp, num in a.nums.items():
             groups.setdefault(spec.degrees(exp), []).append(
                 (sum(map(mul, exp, weights)), num))
-        by_q = sorted(groups.items(), key=lambda item: item[0][2])
         t_order, n_order, q_order = spec.t_order, spec.novikov_order, spec.q_order
         out = {}
         get = out.get
@@ -288,10 +281,8 @@ class TruncatedSeries(Record):
             tb, nb, qb = spec.degrees(eb)
             t_room, n_room, q_room = t_order - tb, n_order - nb, q_order - qb
             pb = sum(map(mul, eb, weights))
-            for (td, nd, qd), terms in by_q:
-                if qd > q_room:
-                    break
-                if td > t_room or nd > n_room:
+            for (td, nd, qd), terms in groups.items():
+                if td > t_room or nd > n_room or qd > q_room:
                     continue
                 for pa, ca in terms:
                     key = pa + pb
@@ -318,7 +309,7 @@ class TruncatedSeries(Record):
         order drops by one: differentiating discards exactly one layer of
         certified coefficients."""
         if not 0 <= k < self.spec.num_t:
-            raise UnknownVariable("no t variable at index %r" % (k,))
+            raise IncompatibleSeries("no t variable at index %r" % (k,))
         spec = self.spec.truncated(t_order=self.spec.t_order - 1)
         # Lowering one exponent by one is injective and keeps the group
         # degree within the lowered order, so no term collides or leaves.

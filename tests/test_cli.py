@@ -348,6 +348,23 @@ def test_table_check_passes_clean_table(tmp_path, capsys):
     assert json.loads(out)["violations"] == []
 
 
+def test_malformed_table_exits_one_with_its_message(tmp_path, capsys):
+    doc = CorrelatorTable.empty(projective_space_kring(1), 1,
+                                {"type": "projective", "n": 1}).to_json_dict()
+    entry = {"beta": [1], "insertions": [0], "value": "1/1"}
+    cases = [
+        (json.dumps({**doc, "correlators": [entry, entry]}),
+         "error: duplicate correlator key ((1,), (0,))\n"),
+        (json.dumps({**doc, "correlators": [{**entry, "beta": [-1]}]}),
+         "error: degree vector [-1] has a negative component\n"),
+        ('{"target": ', "error: Expecting value: line 1 column 12 (char 11)\n"),
+    ]
+    path = tmp_path / "table.json"
+    for text, stderr in cases:
+        path.write_text(text)
+        assert run_cli(["table-check", "--input", str(path)], capsys) == (1, "", stderr)
+
+
 @pytest.mark.parametrize("field,value", [
     ("correlators", 7),
     ("descendent_correlators", {"a": 1}),

@@ -14,8 +14,6 @@ from hypothesis import strategies as st
 
 from qkzero import (
     CorrelatorTable,
-    DuplicateEntry,
-    IneffectiveDegree,
     SchemaError,
     effective_degrees,
     load_correlators,
@@ -53,7 +51,9 @@ def test_beta_zero_needs_three_points():
         table_key(P1.rank, 1, (0,), (0, 1))
 
 
-@pytest.mark.parametrize("insertions", [(0, 1, 2), (-1, 0, 0)])
+# int() would read 1.9, "1" and True as class 1, which P^1 has.
+@pytest.mark.parametrize("insertions", [(0, 1, 2), (-1, 0, 0), (1.9, 0, 0), ("1", 0, 0),
+                                        (True, 0, 0)])
 def test_beta_zero_rejects_out_of_range_insertion(insertions):
     with pytest.raises(ValueError, match="out of range"):
         degree_zero_chi(P1)(insertions)
@@ -123,7 +123,7 @@ def test_load_and_round_trip():
 
 def test_load_rejects_negative_degree():
     doc = _p1_table_doc([{"beta": [-1], "insertions": [1, 1], "value": "1/1"}])
-    with pytest.raises(IneffectiveDegree):
+    with pytest.raises(SchemaError, match=r"degree vector \[-1\] has a negative component"):
         load_correlators(doc)
 
 
@@ -131,12 +131,12 @@ def test_load_rejects_duplicate_after_sorting():
     doc = _p1_table_doc(
         [{"beta": [1], "insertions": [0, 1], "value": "1/1"},
          {"beta": [1], "insertions": [1, 0], "value": "2/1"}])
-    with pytest.raises(DuplicateEntry):
+    with pytest.raises(SchemaError, match="duplicate correlator key"):
         load_correlators(doc)
     marked = {"beta": [1], "insertions": [0, 1], "marked": {"class": 1, "power": 2},
               "value": "1/1"}
     doc = _p1_table_doc([], [marked, {**marked, "insertions": [1, 0]}])
-    with pytest.raises(DuplicateEntry, match="duplicate descendent key"):
+    with pytest.raises(SchemaError, match="duplicate descendent key"):
         load_correlators(doc)
 
 
@@ -252,18 +252,18 @@ def test_builder_rejects_degree_zero_two_point_entry():
         _empty_p1().with_descendent_entry((0,), (1,), (0, 2), Fraction(1))
 
 
-@pytest.mark.parametrize("beta,insertions,error", [
-    ((0, 0), (0, 1, 1), SchemaError),
-    ((-1,), (0, 1, 1), IneffectiveDegree),
-    ([True], (0, 1, 1), SchemaError),
-    ((1,), (0, 7), SchemaError),
-    ((1,), (-1, 0), SchemaError),
-    ((1,), (True, 1), SchemaError),
-    ((1,), 3, SchemaError),
+@pytest.mark.parametrize("beta,insertions,message", [
+    ((0, 0), (0, 1, 1), "has length != 1"),
+    ((-1,), (0, 1, 1), "has a negative component"),
+    ([True], (0, 1, 1), "must be a list of integers"),
+    ((1,), (0, 7), "insertion index out of range"),
+    ((1,), (-1, 0), "insertion index out of range"),
+    ((1,), (True, 1), "insertions must be a list of integers"),
+    ((1,), 3, "insertions must be a list of integers"),
 ], ids=["beta-length", "beta-negative", "beta-bool", "index-high",
         "index-negative", "index-bool", "insertions-int"])
-def test_builder_rejects_bad_plain_key(beta, insertions, error):
-    with pytest.raises(error):
+def test_builder_rejects_bad_plain_key(beta, insertions, message):
+    with pytest.raises(SchemaError, match=message):
         _empty_p1().with_entry(beta, insertions, Fraction(1))
 
 

@@ -8,12 +8,14 @@ import random
 from itertools import combinations_with_replacement, product
 from math import comb, factorial, inf, perm
 from time import perf_counter
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qkzero import NotReducible, descendent_euler
+from qkzero import descendents
 from qkzero.descendents import _convolved, _packed
 
 from oracles import branching_values, closed_form_single, riemann_roch_n4
@@ -167,7 +169,9 @@ def _both_evaluations(index):
     large = sorted(d for d in index if d > 1)
     *rest, last = large or [0]
     parts = (len(index) - 3, index.count(1), rest, last)
-    return _packed(*parts, limit=inf), _convolved(*parts)
+    with patch.object(descendents, "PACKED_MAX_BITS", inf):
+        packed = _packed(*parts)
+    return packed, _convolved(*parts)
 
 
 def test_packed_and_convolution_agree_on_every_small_index():

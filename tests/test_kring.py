@@ -41,6 +41,15 @@ def test_point_ring():
     assert degree_zero_chi(ring)((0, 0, 0)) == 1
 
 
+@pytest.mark.parametrize("value", [0.5, True, "1/2"])
+def test_rejects_inexact_entries(value):
+    # Fraction(x) would read each as an exact number: 1/2, 1 and 1/2.
+    with pytest.raises(TypeError, match="exact rationals"):
+        KRingPresentation(("a",), (((value,),),), ((1,),))
+    with pytest.raises(TypeError, match="exact rationals"):
+        KRingPresentation(("a",), (((1,),),), ((value,),))
+
+
 @pytest.mark.parametrize("n", range(9))
 def test_projective_pairing_is_antitriangular(n):
     # chi(a^m) = 1 for m <= n and 0 beyond the dimension: ones on and above

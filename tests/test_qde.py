@@ -19,9 +19,8 @@ import pytest
 
 from qkzero import (
     CorrelatorTable,
+    IncompatibleSeries,
     IncompleteTable,
-    RingMismatch,
-    TruncationMismatch,
     assemble_fundamental_solution,
     assemble_potential,
     build_frobenius_data,
@@ -299,9 +298,9 @@ def test_qde_check_and_frobenius_check_build_the_same_product(monkeypatch, capsy
 def test_product_carrying_q_rejected():
     _, _, fd, solution = _point_setup()
     product = tuple(p.within(p.spec.replace(q_order=M_POINT)) for p in fd.product)
-    with pytest.raises(TruncationMismatch, match="carries q"):
+    with pytest.raises(IncompatibleSeries, match="carries q"):
         qde_residual(solution, fd.replace(product=product))
-    with pytest.raises(TruncationMismatch, match="carries q"):
+    with pytest.raises(IncompatibleSeries, match="carries q"):
         gwdvv_residuals(solution, fd.replace(product=product))
 
 
@@ -309,18 +308,18 @@ def test_unalignable_truncations_rejected():
     ring, table, fd, solution = _point_setup()
     deep = build_frobenius_data(assemble_potential(table, T_POINT + 3, 1))
     for check in (qde_residual, gwdvv_residuals):
-        with pytest.raises(TruncationMismatch, match="Novikov truncations differ"):
+        with pytest.raises(IncompatibleSeries, match="Novikov truncations differ"):
             check(solution, deep)
     flat = assemble_fundamental_solution(table, 0, 0, M_POINT)
     for check in (qde_residual, gwdvv_residuals):
-        with pytest.raises(TruncationMismatch, match="no common t window"):
+        with pytest.raises(IncompatibleSeries, match="no common t window"):
             check(flat, fd)
 
 
 def test_ring_mismatch_rejected():
     _, _, _, point_solution = _point_setup(t_order=4, q_order=2)
     _, _, p1_fd, _ = _projective_setup(1, 4, 2)
-    with pytest.raises(RingMismatch):
+    with pytest.raises(IncompatibleSeries, match="different rings"):
         qde_residual(point_solution, p1_fd)
 
 
