@@ -16,6 +16,7 @@ import argparse
 import json
 import re
 import sys
+from typing import Iterable
 
 from .correlators import (
     CorrelatorTable,
@@ -60,16 +61,16 @@ def _at_least(least: int):
 
 
 def _emit(args: argparse.Namespace, doc: dict, summary: str) -> None:
-    _write(args, json.dumps(doc, indent=2, sort_keys=True) + "\n", summary)
+    _write(args, (json.dumps(doc, indent=2, sort_keys=True) + "\n",), summary)
 
 
-def _write(args: argparse.Namespace, text: str, summary: str) -> None:
-    """The report to --output or stdout, then the summary to stderr."""
+def _write(args: argparse.Namespace, chunks: Iterable[str], summary: str) -> None:
+    """The report's chunks to --output or stdout, then the summary to stderr."""
     if args.output_path:
         with open(args.output_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
     print(summary, file=sys.stderr)
 
 
@@ -128,19 +129,20 @@ def cmd_descendent(args: argparse.Namespace) -> int:
                 isinstance(idx, list) and {int}.issuperset(map(type, idx))
                 for idx in batch):
             raise ValueError("batch file must be a JSON array of integer arrays")
+        # Every value before the first byte, so a bad entry leaves no report.
         any_irreducible = False
-        lines = []
+        values = []
         for position, idx in enumerate(batch):
             try:
-                value = str(descendent_euler(idx))
+                values.append(descendent_euler(idx))
             except NotReducible:
-                value = "NotReducible"
+                values.append("NotReducible")
                 any_irreducible = True
             except ValueError as exc:
                 raise ValueError(f"batch entry {position} {idx}: {exc}") from None
-            # A list of plain ints prints as JSON, so this is json.dumps's line.
-            lines.append('{"index": %s, "value": "%s"}\n' % (idx, value))
-        _write(args, "".join(lines), f"evaluated {len(batch)} descendent indices")
+        # A list of plain ints prints as JSON, so each line is json.dumps's.
+        _write(args, ('{"index": %s, "value": "%s"}\n' % line for line in zip(batch, values)),
+               f"evaluated {len(batch)} descendent indices")
         return EXIT_NOT_REDUCIBLE if any_irreducible else EXIT_OK
     if args.index is None:
         raise ValueError("give an index like 2,3,0,1 or --input batch.json")
@@ -148,9 +150,9 @@ def cmd_descendent(args: argparse.Namespace) -> int:
     try:
         value = descendent_euler(exponents)
     except NotReducible as exc:
-        _write(args, "NotReducible\n", str(exc))
+        _write(args, ("NotReducible\n",), str(exc))
         return EXIT_NOT_REDUCIBLE
-    _write(args, f"{value}\n", f"E({len(exponents)}; {exponents}) computed")
+    _write(args, (f"{value}\n",), f"E({len(exponents)}; {exponents}) computed")
     return EXIT_OK
 
 

@@ -28,7 +28,7 @@ from typing import Callable, Iterable, Iterator
 from .errors import SchemaError
 from .kring import KRingPresentation, point_kring, projective_space_kring
 from .record import Record
-from .series import format_rational, parse_rational
+from .series import RationalLike, format_rational, parse_rational
 
 DegreeVector = tuple[int, ...]
 PlainKey = tuple[DegreeVector, tuple[int, ...]]
@@ -69,11 +69,11 @@ def table_key(rank: int, degree_rank: int, beta: object, insertions: object,
     return key
 
 
-def _exact_value(value: object) -> Fraction:
-    """An int or Fraction as a Fraction; floats and bools are not exact data."""
+def _exact_value(value: object) -> RationalLike:
+    """An int or Fraction, kept as given; floats and bools are not exact data."""
     if type(value) not in (int, Fraction):
         raise SchemaError(f"correlator value must be an int or Fraction, got {value!r}")
-    return Fraction(value)
+    return value
 
 
 def effective_degrees(degree_rank: int, bound: int) -> Iterator[DegreeVector]:
@@ -106,7 +106,7 @@ def insertion_multisets(rank: int, degree_rank: int, t_order: int, novikov_order
                 yield beta, kappa, tuple(counts) + beta, prod(map(factorial, counts))
 
 
-def degree_zero_chi(ring: KRingPresentation) -> Callable[[Iterable[int]], Fraction]:
+def degree_zero_chi(ring: KRingPresentation) -> Callable[[Iterable[int]], RationalLike]:
     """chi of the product of basis insertions, as a function of the multiset.
 
     Products are coordinate tuples in the basis e_0..e_r.  Each sorted
@@ -118,10 +118,11 @@ def degree_zero_chi(ring: KRingPresentation) -> Callable[[Iterable[int]], Fracti
     """
     products: dict[tuple[int, ...], tuple] = {(): (1,) + (0,) * (ring.rank - 1)}
 
-    def chi(insertions: Iterable[int]) -> Fraction:
+    def chi(insertions: Iterable[int]) -> RationalLike:
         key = tuple(insertions)
-        if key and not ({int}.issuperset(map(type, key))
-                        and 0 <= min(key) and max(key) < ring.rank):
+        if not {int}.issuperset(map(type, key)):
+            raise ValueError(f"insertions must be ints: {list(key)}")
+        if key and not (0 <= min(key) and max(key) < ring.rank):
             raise ValueError(
                 f"insertion index out of range 0..{ring.rank - 1}: {list(key)}")
         key = tuple(sorted(key))
@@ -143,43 +144,41 @@ class CorrelatorTable(Record):
     ring: KRingPresentation
     degree_rank: int
     target_doc: dict
-    entries: dict[PlainKey, Fraction]
-    descendent_entries: dict[MarkedKey, Fraction]
+    entries: dict[PlainKey, RationalLike]
+    descendent_entries: dict[MarkedKey, RationalLike]
 
     @classmethod
     def empty(cls, ring: KRingPresentation, degree_rank: int,
               target_doc: dict) -> "CorrelatorTable":
         return cls(ring, degree_rank, dict(target_doc), {}, {})
 
-    def with_entry(self, beta: DegreeVector, insertions: tuple[int, ...],
-                   value: Fraction) -> "CorrelatorTable":
-        key = table_key(self.ring.rank, self.degree_rank, beta, insertions)
-        return self.replace(entries={**self.entries, key: _exact_value(value)})
-
-    def with_descendent_entry(self, beta: DegreeVector, insertions: tuple[int, ...],
-                              marked: tuple[int, int], value: Fraction) -> "CorrelatorTable":
+    def with_entry(self, beta: DegreeVector, insertions: tuple[int, ...], value: RationalLike,
+                   marked: tuple[int, int] | None = None) -> "CorrelatorTable":
+        """A copy with one more entry, a marked one when marked = (class,
+        power) is given; the value is kept as given."""
         key = table_key(self.ring.rank, self.degree_rank, beta, insertions, marked)
-        return self.replace(descendent_entries={**self.descendent_entries,
-                                                key: _exact_value(value)})
+        field = "entries" if marked is None else "descendent_entries"
+        return self.replace(**{field: {**getattr(self, field), key: _exact_value(value)}})
 
     def to_json_dict(self) -> dict:
-        plain = [
-            {"beta": list(beta), "insertions": list(ins),
-             "value": format_rational(self.entries[(beta, ins)])}
-            for beta, ins in sorted(self.entries)
-        ]
-        marked = [
-            {"beta": list(beta), "insertions": list(ins),
-             "marked": {"class": cls_idx, "power": power},
-             "value": format_rational(self.descendent_entries[(beta, ins, (cls_idx, power))])}
-            for beta, ins, (cls_idx, power) in sorted(self.descendent_entries)
-        ]
         return {
             "target": self.target_doc,
             "degree_rank": self.degree_rank,
-            "correlators": plain,
-            "descendent_correlators": marked,
+            "correlators": [_entry_row(*item) for item in sorted(self.entries.items())],
+            "descendent_correlators": [_entry_row(*item)
+                                       for item in sorted(self.descendent_entries.items())],
         }
+
+
+def _entry_row(key: PlainKey | MarkedKey, value: RationalLike) -> dict:
+    """One entry as JSON, its fields in the order beta, insertions, marked, value."""
+    beta, insertions, *marked = key
+    row: dict = {"beta": list(beta), "insertions": list(insertions)}
+    if marked:
+        cls_idx, power = marked[0]
+        row["marked"] = {"class": cls_idx, "power": power}
+    row["value"] = format_rational(value)
+    return row
 
 
 def ring_from_target(target_doc: object) -> KRingPresentation:
@@ -214,27 +213,26 @@ def load_correlators(doc: object) -> CorrelatorTable:
         if not isinstance(doc[field], list):
             raise SchemaError(f"{field} must be a list")
 
-    entries: dict[PlainKey, Fraction] = {}
-    for item in doc["correlators"]:
-        if not isinstance(item, dict) or set(item) != {"beta", "insertions", "value"}:
-            raise SchemaError(f"malformed correlator entry: {item!r}")
-        key = table_key(ring.rank, degree_rank, item["beta"], item["insertions"])
-        if key in entries:
-            raise SchemaError(f"duplicate correlator key {key}")
-        entries[key] = parse_rational(item["value"])
-
-    descendent_entries: dict[MarkedKey, Fraction] = {}
-    for item in doc["descendent_correlators"]:
-        if not isinstance(item, dict) or set(item) != {"beta", "insertions", "marked", "value"}:
-            raise SchemaError(f"malformed descendent entry: {item!r}")
-        marked = item["marked"]
-        if not isinstance(marked, dict) or set(marked) != {"class", "power"}:
-            raise SchemaError(f"marked insertion must give 'class' and 'power': {item!r}")
-        key = table_key(ring.rank, degree_rank, item["beta"], item["insertions"],
-                        (marked["class"], marked["power"]))
-        if key in descendent_entries:
-            raise SchemaError(f"duplicate descendent key {key}")
-        descendent_entries[key] = parse_rational(item["value"])
+    plain_fields = {"beta", "insertions", "value"}
+    entries: dict[PlainKey, RationalLike] = {}
+    descendent_entries: dict[MarkedKey, RationalLike] = {}
+    for field, kind, fields, found in (
+            ("correlators", "correlator", plain_fields, entries),
+            ("descendent_correlators", "descendent", plain_fields | {"marked"},
+             descendent_entries)):
+        for item in doc[field]:
+            if not isinstance(item, dict) or set(item) != fields:
+                raise SchemaError(f"malformed {kind} entry: {item!r}")
+            marked = item.get("marked")
+            if "marked" in fields:
+                if not isinstance(marked, dict) or set(marked) != {"class", "power"}:
+                    raise SchemaError(
+                        f"marked insertion must give 'class' and 'power': {item!r}")
+                marked = (marked["class"], marked["power"])
+            key = table_key(ring.rank, degree_rank, item["beta"], item["insertions"], marked)
+            if key in found:
+                raise SchemaError(f"duplicate {kind} key {key}")
+            found[key] = parse_rational(item["value"])
 
     return CorrelatorTable(ring, degree_rank, dict(doc["target"]),
                            entries, descendent_entries)

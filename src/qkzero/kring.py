@@ -2,8 +2,9 @@
 
 A presentation is a basis e_0..e_r with e_0 the unit, rational structure
 constants m[i][j][k] for e_i e_j = sum_k m[i][j][k] e_k, and the pairing
-g[i][j] = chi(e_i e_j).  The constructor checks every axiom a Frobenius
-algebra needs; downstream modules rely on those checks and never re-verify.
+g[i][j] = chi(e_i e_j), each entry an int or Fraction kept as given.  The
+constructor checks every axiom a Frobenius algebra needs; downstream
+modules rely on those checks and never re-verify.
 
 The ring has one product and one pairing: times_basis multiplies a
 coordinate vector by a basis class and pair pairs it with one, both
@@ -18,28 +19,24 @@ sum_u (-1)^u binom(i+j, u) chi(P^n, O(-u)).
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .errors import InvalidPresentation, SchemaError
 from .record import Record
-from .series import _exact, format_rational, parse_rational, try_rational_inverse
+from .series import RationalLike, _exact, format_rational, parse_rational, try_rational_inverse
 
 
 class KRingPresentation(Record):
     labels: tuple[str, ...]
-    mult: tuple[tuple[tuple[Fraction, ...], ...], ...]
-    pairing: tuple[tuple[Fraction, ...], ...]
+    mult: tuple[tuple[tuple[RationalLike, ...], ...], ...]
+    pairing: tuple[tuple[RationalLike, ...], ...]
 
     def __post_init__(self) -> None:
         labels = tuple(str(x) for x in self.labels)
         r = len(labels)
         if r == 0:
             raise InvalidPresentation("empty basis")
-        mult = tuple(
-            tuple(tuple(Fraction(_exact(x)) for x in row) for row in plane)
-            for plane in self.mult
-        )
-        pairing = tuple(tuple(Fraction(_exact(x)) for x in row) for row in self.pairing)
+        mult = tuple(tuple(tuple(_exact(x) for x in row) for row in plane)
+                     for plane in self.mult)
+        pairing = tuple(tuple(_exact(x) for x in row) for row in self.pairing)
         if len(mult) != r or any(len(p) != r or any(len(row) != r for row in p) for p in mult):
             raise InvalidPresentation("multiplication tensor must be rank x rank x rank")
         if len(pairing) != r or any(len(row) != r for row in pairing):
@@ -96,9 +93,9 @@ class KRingPresentation(Record):
                         out[l] += u * m
         return tuple(out)
 
-    def pair(self, coords: tuple, k: int) -> Fraction:
+    def pair(self, coords: tuple, k: int) -> RationalLike:
         """g(sum_i coords[i] e_i, e_k), summed over the nonzero coordinates."""
-        return sum((u * row[k] for u, row in zip(coords, self.pairing) if u), Fraction(0))
+        return sum(u * row[k] for u, row in zip(coords, self.pairing) if u)
 
     @property
     def rank(self) -> int:
@@ -153,14 +150,7 @@ def projective_space_kring(n: int) -> KRingPresentation:
         raise ValueError("projective space dimension must be non-negative")
     r = n + 1
     labels = tuple(f"e{i}" for i in range(r))
-    mult = tuple(
-        tuple(
-            tuple(Fraction(int(i + j == k)) for k in range(r))
-            for j in range(r)
-        )
-        for i in range(r)
-    )
-    pairing = tuple(
-        tuple(Fraction(int(i + j <= n)) for j in range(r)) for i in range(r)
-    )
+    mult = tuple(tuple(tuple(int(i + j == k) for k in range(r)) for j in range(r))
+                 for i in range(r))
+    pairing = tuple(tuple(int(i + j <= n) for j in range(r)) for i in range(r))
     return KRingPresentation(labels, mult, pairing)

@@ -121,7 +121,7 @@ def _exact(value: RationalLike) -> RationalLike:
     """The value itself, once it is known to be an int or Fraction (not a bool)."""
     if type(value) in (int, Fraction):
         return value
-    raise TypeError(f"coefficients must be exact rationals, got {type(value).__name__}")
+    raise TypeError(f"expected exact rationals (int or Fraction), got {type(value).__name__}")
 
 
 class TruncatedSeries(Record):

@@ -249,8 +249,8 @@ def test_criterion_8_negative_controls(tmp_path, capsys):
     # (c) perturbed descendent entry: the predicted residual footprint
     delta = Fraction(3, 7)
     dtable = CorrelatorTable.empty(point_kring(), 0, {"type": "point"})
-    dtable = dtable.with_descendent_entry(
-        (), (0, 0, 0, 0), (0, 2), descendent_euler((0, 0, 0, 0, 2)) + delta)
+    dtable = dtable.with_entry(
+        (), (0, 0, 0, 0), descendent_euler((0, 0, 0, 0, 2)) + delta, marked=(0, 2))
     dtable_path = tmp_path / "descendent.json"
     dtable_path.write_text(json.dumps(dtable.to_json_dict()))
     code = main(["qde-check", "--input", str(dtable_path),

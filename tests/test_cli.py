@@ -224,8 +224,8 @@ def test_qde_check_point(capsys):
 
 
 def test_qde_check_flags_perturbed_descendent(tmp_path, capsys):
-    table = empty_point_table().with_descendent_entry(
-        (), (0, 0, 0), (0, 1), descendent_euler((0, 0, 0, 1)) + Fraction(1, 9))
+    table = empty_point_table().with_entry(
+        (), (0, 0, 0), descendent_euler((0, 0, 0, 1)) + Fraction(1, 9), marked=(0, 1))
     path = tmp_path / "table.json"
     path.write_text(json.dumps(table.to_json_dict()))
     code, out, err = run_cli(
@@ -433,6 +433,14 @@ def test_kring_info(capsys):
     doc = json.loads(out)
     assert doc["rank"] == 3
     assert len(doc["pairing"]) == 3
+
+
+def test_kring_info_matches_golden(capsys):
+    # Integer structure constants still print as p/q.
+    code, out, err = run_cli(["kring", "info", "--target", "projective:2"], capsys)
+    assert code == 0
+    assert out == (DATA / "kring_projective2.golden.json").read_text()
+    assert err == "rank 3 presentation, labels ['e0', 'e1', 'e2']\n"
 
 
 @pytest.mark.parametrize("target", [

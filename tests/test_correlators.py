@@ -51,11 +51,17 @@ def test_beta_zero_needs_three_points():
         table_key(P1.rank, 1, (0,), (0, 1))
 
 
-# int() would read 1.9, "1" and True as class 1, which P^1 has.
-@pytest.mark.parametrize("insertions", [(0, 1, 2), (-1, 0, 0), (1.9, 0, 0), ("1", 0, 0),
-                                        (True, 0, 0)])
+@pytest.mark.parametrize("insertions", [(0, 1, 2), (-1, 0, 0)])
 def test_beta_zero_rejects_out_of_range_insertion(insertions):
     with pytest.raises(ValueError, match="out of range"):
+        degree_zero_chi(P1)(insertions)
+
+
+# int() would read 1.9, "1" and True as class 1, which P^1 has: the fault is
+# the type, not the range.
+@pytest.mark.parametrize("insertions", [(1.9, 0, 0), ("1", 0, 0), (True, 0, 0)])
+def test_beta_zero_rejects_non_int_insertion(insertions):
+    with pytest.raises(ValueError, match=r"^insertions must be ints: \["):
         degree_zero_chi(P1)(insertions)
 
 
@@ -201,6 +207,40 @@ def test_load_rejects_non_list_entry_fields(field, value):
         load_correlators(doc)
 
 
+_PLAIN = {"beta": [1], "insertions": [0, 1], "value": "1/1"}
+_MARKED = {**_PLAIN, "marked": {"class": 1, "power": 2}}
+_NO_VALUE = {"beta": [1], "insertions": [0, 1]}
+
+
+@pytest.mark.parametrize("doc,message", [
+    (_p1_table_doc([_NO_VALUE]), f"malformed correlator entry: {_NO_VALUE!r}"),
+    (_p1_table_doc([], [_PLAIN]), f"malformed descendent entry: {_PLAIN!r}"),
+    (_p1_table_doc([_MARKED]), f"malformed correlator entry: {_MARKED!r}"),
+    (_p1_table_doc([_PLAIN, {**_PLAIN, "insertions": [1, 0]}]),
+     "duplicate correlator key ((1,), (0, 1))"),
+    (_p1_table_doc([], [_MARKED, {**_MARKED, "insertions": [1, 0]}]),
+     "duplicate descendent key ((1,), (0, 1), (1, 2))"),
+    (_p1_table_doc([], [{**_PLAIN, "marked": None}]),
+     f"marked insertion must give 'class' and 'power': {({**_PLAIN, 'marked': None})!r}"),
+    (_p1_table_doc([], [{**_PLAIN, "marked": {"class": 1}}]),
+     "marked insertion must give 'class' and 'power': "
+     f"{({**_PLAIN, 'marked': {'class': 1}})!r}"),
+    ({**_p1_table_doc([]), "correlators": {}}, "correlators must be a list"),
+    ({**_p1_table_doc([]), "descendent_correlators": None},
+     "descendent_correlators must be a list"),
+    ({**_p1_table_doc([]), "correlators": 7, "descendent_correlators": "x"},
+     "correlators must be a list"),
+    ({**_p1_table_doc([_NO_VALUE]), "descendent_correlators": "x"},
+     "descendent_correlators must be a list"),
+], ids=["plain-malformed", "marked-malformed", "plain-with-marked", "plain-duplicate",
+        "marked-duplicate", "marked-null", "marked-no-power", "plain-not-list",
+        "marked-not-list", "both-not-lists", "list-checks-first"])
+def test_loader_errors_for_both_entry_kinds(doc, message):
+    with pytest.raises(SchemaError) as caught:
+        load_correlators(doc)
+    assert str(caught.value) == message
+
+
 def test_load_rejects_missing_field():
     doc = _p1_table_doc([])
     del doc["degree_rank"]
@@ -249,7 +289,7 @@ def test_builder_rejects_degree_zero_two_point_entry():
     with pytest.raises(SchemaError, match="moduli space is empty"):
         _empty_p1().with_entry((0,), (0, 1), Fraction(5))
     with pytest.raises(SchemaError, match="moduli space is empty"):
-        _empty_p1().with_descendent_entry((0,), (1,), (0, 2), Fraction(1))
+        _empty_p1().with_entry((0,), (1,), Fraction(1), marked=(0, 2))
 
 
 @pytest.mark.parametrize("beta,insertions,message", [
@@ -278,7 +318,7 @@ def test_builder_rejects_bad_plain_key(beta, insertions, message):
         "power-float"])
 def test_builder_rejects_bad_marked_key(beta, insertions, marked):
     with pytest.raises(SchemaError):
-        _empty_p1().with_descendent_entry(beta, insertions, marked, Fraction(1))
+        _empty_p1().with_entry(beta, insertions, Fraction(1), marked=marked)
 
 
 @pytest.mark.parametrize("value", [0.1, 1.0, True, "1/2", None])
@@ -286,7 +326,7 @@ def test_builder_rejects_inexact_values(value):
     with pytest.raises(SchemaError, match="int or Fraction"):
         _empty_p1().with_entry((1,), (0, 1), value)
     with pytest.raises(SchemaError, match="int or Fraction"):
-        _empty_p1().with_descendent_entry((1,), (1,), (0, 2), value)
+        _empty_p1().with_entry((1,), (1,), value, marked=(0, 2))
 
 
 def test_builder_accepts_valid_keys():
@@ -294,13 +334,15 @@ def test_builder_accepts_valid_keys():
              .with_entry((1,), [1, 0], 2)
              .with_entry((0,), (1, 0, 0), Fraction(-1, 3))
              .with_entry((3,), (), Fraction(1))
-             .with_descendent_entry((0,), (1, 0), (1, 4), Fraction(1, 2))
-             .with_descendent_entry((2,), (), (0, 0), 7))
+             .with_entry((0,), (1, 0), Fraction(1, 2), marked=(1, 4))
+             .with_entry((2,), (), 7, marked=(0, 0)))
     assert table.entries == {((1,), (0, 1)): 2, ((0,), (0, 0, 1)): Fraction(-1, 3),
                              ((3,), ()): 1}
     assert table.descendent_entries == {((0,), (0, 1), (1, 4)): Fraction(1, 2),
                                         ((2,), (), (0, 0)): 7}
-    assert all(type(v) is Fraction for v in table.entries.values())
+    # Values keep the type they were given.
+    assert [type(v) for v in table.entries.values()] == [int, Fraction, Fraction]
+    assert [type(v) for v in table.descendent_entries.values()] == [Fraction, int]
     again = load_correlators(json.loads(json.dumps(table.to_json_dict())))
     assert again.entries == table.entries
     assert again.descendent_entries == table.descendent_entries

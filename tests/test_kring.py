@@ -79,6 +79,18 @@ def test_json_round_trip():
     assert back == ring
 
 
+def test_entries_keep_their_type():
+    # The built-in rings are integral, so their checks and chi walk run on
+    # ints; a ring read from JSON holds Fractions and is the same ring.
+    ring = projective_space_kring(2)
+    assert {type(x) for plane in ring.mult for row in plane for x in row} == {int}
+    assert {type(x) for row in ring.pairing for x in row} == {int}
+    assert type(degree_zero_chi(ring)((1, 1, 0))) is int
+    back = KRingPresentation.from_json_dict(ring.to_json_dict())
+    assert {type(x) for row in back.pairing for x in row} == {Fraction}
+    assert back == ring and hash(back) == hash(ring)
+
+
 def test_json_rejects_rank_mismatch():
     # 2.0 and true equal the label count but are not JSON integers.
     for ring, rank in ((projective_space_kring(1), 5),

@@ -146,7 +146,7 @@ def test_supplied_value_wins_where_computed_chi_vanishes(tmp_path, capsys):
     table = CorrelatorTable.empty(ring, 1, {"type": "projective", "n": 1})
     computed = assemble_fundamental_solution(table, 3, 0, 2).matrix.entries[1][1]
     assert coefficient(computed, {"t1": 1, "q": 2}) == 0
-    perturbed = table.with_descendent_entry((0,), (1, 1), (1, 2), Fraction(5))
+    perturbed = table.with_entry((0,), (1, 1), Fraction(5), marked=(1, 2))
     entry = assemble_fundamental_solution(perturbed, 3, 0, 2).matrix.entries[1][1]
     assert coefficient(entry, {"t1": 1, "q": 2}) == 5
     assert entry - computed == monomial(entry.spec, {"t1": 1, "q": 2}, 5)
@@ -162,8 +162,8 @@ def test_supplied_value_wins_where_computed_chi_vanishes(tmp_path, capsys):
 def test_perturbed_entry_footprint():
     delta = Fraction(3, 7)
     ring, table, fd, solution = _point_setup()
-    perturbed = table.with_descendent_entry(
-        (), (0, 0, 0, 0), (0, 2), descendent_euler((0, 0, 0, 0, 2)) + delta)
+    perturbed = table.with_entry(
+        (), (0, 0, 0, 0), descendent_euler((0, 0, 0, 0, 2)) + delta, marked=(0, 2))
     bad = assemble_fundamental_solution(perturbed, T_POINT, 0, M_POINT)
 
     # The entry enters S once, through the n = 3 insertion block.

@@ -105,7 +105,7 @@ def test_repr_names_every_field():
     table = CorrelatorTable.empty(point_kring(), 0, {"type": "point"})
     assert repr(table) == (
         "CorrelatorTable(ring=KRingPresentation(labels=('e0',), "
-        "mult=(((Fraction(1, 1),),),), pairing=((Fraction(1, 1),),)), degree_rank=0, "
+        "mult=(((1,),),), pairing=((1,),)), degree_rank=0, "
         "target_doc={'type': 'point'}, entries={}, descendent_entries={})")
 
 
