@@ -41,7 +41,6 @@ from .qde import (
     QDESolution,
     assemble_fundamental_solution,
     gwdvv_residuals,
-    is_complete,
     qde_residual,
 )
 from .series import (

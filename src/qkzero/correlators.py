@@ -250,8 +250,6 @@ class ConsistencyReport(Record):
         return {
             "checked_pairs": self.checked_pairs,
             "violations": list(self.violations),
-            # Permutation invariance cannot fail: keys are sorted multisets.
-            "sn_covariance": "enforced by multiset keys",
         }
 
 

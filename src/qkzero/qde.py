@@ -43,12 +43,7 @@ from .frobenius import (
 )
 from .kring import KRingPresentation
 from .record import Record
-from .series import (
-    SeriesMatrix,
-    SeriesSpec,
-    TruncatedSeries,
-    try_rational_inverse,
-)
+from .series import SeriesMatrix, SeriesSpec, TruncatedSeries
 
 
 class QDESolution(Record):
@@ -76,7 +71,9 @@ def assemble_fundamental_solution(table: CorrelatorTable, t_order: int,
     over degrees and insertions is the potential's, with one insertion fewer
     at degree zero; terms are integer numerators over their value's
     denominator times prod m_i!, and each entry of S takes their lcm once
-    (TruncatedSeries.over_lcm): no Fraction is built per term.
+    (TruncatedSeries.over_lcm): no Fraction is built per term.  Every term
+    but g carries t, Q or q, so S's constant term is exactly the pairing g,
+    which KRingPresentation keeps nonsingular: S is invertible at the origin.
     """
     ring = table.ring
     rank = ring.rank
@@ -197,10 +194,3 @@ def gwdvv_residuals(solution: QDESolution, fd: FrobeniusData
                 matrix_pieces({"pair": [j, k]}, residual), residual.spec)))
     return summaries
 
-
-def is_complete(solution: QDESolution) -> bool:
-    """Invertibility of the solution at the origin of deformation space.
-
-    False only on a hand-built solution: an assembled S has the pairing g as
-    its constant term, and KRingPresentation rejects a singular g."""
-    return try_rational_inverse(solution.matrix.constant_matrix()) is not None

@@ -305,11 +305,6 @@ def reciprocal(a: TruncatedSeries) -> TruncatedSeries:
     return acc.scaled(inv_c)
 
 
-def zero_matrix(spec: SeriesSpec, dim: int) -> SeriesMatrix:
-    z = TruncatedSeries.zero(spec)
-    return SeriesMatrix(tuple(tuple(z for _ in range(dim)) for _ in range(dim)))
-
-
 def matrix_inverse_direct(mat: SeriesMatrix) -> SeriesMatrix:
     """Invert a series matrix by Gauss-Jordan elimination over the series ring,
     pivoting on entries whose constant term is nonzero."""

@@ -218,7 +218,6 @@ def test_qde_check_point(capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc["certified_window"] == {"t": 4, "novikov": 0, "q": 3}
-    assert doc["complete"] is True
     assert doc["qde_residuals"][0]["max_residual"] == "0/1"
     assert doc["gwdvv_residuals"] == []
 
@@ -621,6 +620,69 @@ def test_import_loads_no_dataclasses_or_inspect():
     assert "qkzero.series" in added
     assert "dataclasses" not in added
     assert "inspect" not in added
+
+
+@pytest.fixture
+def restore_digit_limit():
+    """main() lifts CPython's int <-> str digit limit (3.10.7+) for the
+    process; put the test process's limit back afterwards."""
+    get = getattr(sys, "get_int_max_str_digits", None)
+    limit = get() if get else None
+    yield
+    if limit is not None:
+        sys.set_int_max_str_digits(limit)
+
+
+def test_descendent_prints_values_of_any_length(tmp_path, capsys, restore_digit_limit):
+    # E(2000; 1, ..., 1) has more digits than CPython's default limit of 4,300.
+    ones = [1] * 2000
+    code, out, _ = run_cli(["descendent", ",".join(map(str, ones))], capsys)
+    assert code == 0
+    value = str(descendent_euler(ones))
+    assert len(value) > 4300
+    assert out == value + "\n"
+    path = tmp_path / "batch.json"
+    path.write_text(json.dumps([ones, [0, 0, 0, 1]]))
+    code, out, _ = run_cli(["descendent", "--input", str(path)], capsys)
+    assert code == 0
+    assert out == (json.dumps({"index": ones, "value": value}) + "\n"
+                   + '{"index": [0, 0, 0, 1], "value": "2"}\n')
+
+
+def test_table_values_of_any_length(tmp_path, capsys, restore_digit_limit):
+    # <pt, pt, pt>_0 = <pt, pt, pt, pt>_0 = 10^5000 + 7, a 5,001-digit
+    # numerator, written without converting an int in this process.
+    digits = "1" + "0" * 4999 + "7"
+    doc = empty_point_table().to_json_dict()
+    doc["correlators"] = [
+        {"beta": [], "insertions": [0] * n, "value": digits} for n in (3, 4)]
+    path = tmp_path / "table.json"
+    path.write_text(json.dumps(doc))
+    code, out, _ = run_cli(["table-check", "--input", str(path)], capsys)
+    assert code == 0
+    assert json.loads(out) == {"checked_pairs": 1, "violations": []}
+    code, out, _ = run_cli(["potential", "--input", str(path), "--t-order", "4"], capsys)
+    assert code == 0
+    # The value comes back over 3! and 4!, with which it shares no factor.
+    assert json.loads(out)["terms"] == [
+        {"exp": [2, 0], "value": "1/2"},
+        {"exp": [3, 0], "value": digits + "/6"},
+        {"exp": [4, 0], "value": digits + "/24"},
+    ]
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                    reason="CPython before 3.10.7 has no int <-> str digit limit")
+def test_import_keeps_the_digit_limit_and_main_lifts_it():
+    probe = run_python(
+        "-c", "import sys; before = sys.get_int_max_str_digits(); import qkzero.cli; "
+        "imported = sys.get_int_max_str_digits(); "
+        "qkzero.cli.main(['kring', 'info', '--target', 'point']); "
+        "print(before, imported, sys.get_int_max_str_digits())")
+    assert probe.returncode == 0, probe.stderr
+    before, imported, after = map(int, probe.stdout.splitlines()[-1].split())
+    assert before == imported > 0
+    assert after == 0
 
 
 POINT_TABLE = str(DATA / "qde_point_perturbed_input.json")

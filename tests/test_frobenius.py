@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import json
 from fractions import Fraction
 from itertools import combinations_with_replacement, permutations
 from math import factorial
+from pathlib import Path
 
 import pytest
 
@@ -20,6 +22,7 @@ from qkzero import (
     build_frobenius_data,
     classical_limit_residual,
     flatness_residuals,
+    load_correlators,
     matrix_inverse_geometric,
     point_kring,
     projective_space_kring,
@@ -43,6 +46,7 @@ POINT = point_kring()
 P1 = projective_space_kring(1)
 P2 = projective_space_kring(2)
 P2_LINE_BUNDLES = p2_line_bundle_kring()
+DATA = Path(__file__).parent / "data"
 
 
 def empty_table(ring, degree_rank=0, target=None):
@@ -182,15 +186,24 @@ def quantum_p1_table(max_degree=4, max_insertions=9):
     return table
 
 
+def golden_input(name):
+    return load_correlators(json.loads((DATA / f"{name}_input.json").read_text()))
+
+
 @pytest.mark.parametrize("ring,table,t_order,novikov_order", [
     (P2, empty_table(P2, 1, {"type": "projective", "n": 2}).with_entry(
         (0,), (1, 1, 2, 2), Fraction(3, 7)), 7, 0),
     (P1, quantum_p1_table(), 9, 4),
-], ids=["perturbed-P2", "quantum-P1"])
+    (P1, golden_input("frobenius_p1_degree_two"), 7, 2),
+    (P2, golden_input("frobenius_p2_degree_two"), 6, 2),
+], ids=["perturbed-P2", "quantum-P1", "degree-two-P1", "degree-two-P2"])
 def test_frobenius_data_is_one_matrix_per_class(ring, table, t_order, novikov_order):
-    # Off classical data: a perturbed degree-zero entry, and quantum P^1.
+    # Off classical data: a perturbed degree-zero entry, quantum P^1, and
+    # the degree-two tables of the CLI golden files, where WDVV fails.
     potential = assemble_potential(table, t_order, novikov_order)
     gm = quantized_metric(potential)
+    # Every term of G but g carries t or Q, so G is invertible at the origin.
+    assert gm.constant_matrix() == ring.pairing
     fd = build_frobenius_data(potential)
     rank = ring.rank
     assert fd.gmetric == gm

@@ -14,6 +14,7 @@ import pickle
 import tracemalloc
 from fractions import Fraction
 from math import comb, factorial
+from pathlib import Path
 
 import pytest
 
@@ -26,7 +27,7 @@ from qkzero import (
     build_frobenius_data,
     descendent_euler,
     gwdvv_residuals,
-    is_complete,
+    load_correlators,
     point_kring,
     projective_space_kring,
     qde_residual,
@@ -45,11 +46,11 @@ from oracles import (
     monomial,
     naive_connection_defect,
     p2_line_bundle_kring,
-    zero_matrix,
 )
 
 T_POINT = 6
 M_POINT = 4
+DATA = Path(__file__).parent / "data"
 
 
 def _point_setup(t_order=T_POINT, q_order=M_POINT):
@@ -110,7 +111,6 @@ def test_point_residual_vanishes_on_certified_window():
     assert summaries[0].is_zero
     assert summaries[0].window == {"t": T_POINT - 1, "novikov": 0, "q": M_POINT}
     assert gwdvv_residuals(solution, fd) == []
-    assert is_complete(solution)
 
 
 @pytest.mark.parametrize("nproj", [1, 2, 3])
@@ -124,7 +124,38 @@ def test_degree_zero_solution_satisfies_equation(nproj):
     assert len(pairs) == ring.rank * (ring.rank - 1) // 2
     for _, summary in pairs:
         assert summary.is_zero
-    assert is_complete(solution)
+
+
+def _source_a_p1_table(q_order):
+    """The degree-1 two-point values of P^1 with e0 = 1, e1 = O_pt, from
+    M_{0,2}(P^1, 1) = P^1 x P^1 with L_2 = O(1, -1):
+    <e0, tau_m(e0)>_1 = 1 - m^2, <e1, tau_m(e0)>_1 = 1 - m,
+    <e0, tau_m(e1)>_1 = m + 1 and <e1, tau_m(e1)>_1 = 1."""
+    values = {(0, 0): lambda m: 1 - m * m, (1, 0): lambda m: 1 - m,
+              (0, 1): lambda m: m + 1, (1, 1): lambda m: 1}
+    table = CorrelatorTable.empty(projective_space_kring(1), 1,
+                                  {"type": "projective", "n": 1})
+    for (i, j), value in values.items():
+        for m in range(q_order + 1):
+            table = table.with_entry((1,), (i,), value(m), marked=(j, m))
+    return table
+
+
+def _golden_input(name):
+    return load_correlators(json.loads((DATA / f"{name}_input.json").read_text()))
+
+
+@pytest.mark.parametrize("table,orders", [
+    # the perturbed tables of the qde-check golden files, at their orders
+    (_golden_input("qde_point_perturbed"), (8, 0, 6)),
+    (_golden_input("qde_p2_perturbed"), (5, 0, 3)),
+    (_source_a_p1_table(4), (0, 1, 4)),
+], ids=["perturbed-point", "perturbed-P2", "degree-one-P1"])
+def test_solution_constant_term_is_the_pairing(table, orders):
+    # Every term of S but g carries t, Q or q, so S is invertible at the
+    # origin whatever the table holds, also with positive-degree entries.
+    solution = assemble_fundamental_solution(table, *orders)
+    assert solution.matrix.constant_matrix() == table.ring.pairing
 
 
 def test_transposed_action_fails_equation():
@@ -338,13 +369,6 @@ def test_deeper_product_is_cut_to_the_solution_window():
     summaries = qde_residual(solution, build_frobenius_data(deep_potential))
     assert summaries[0].window == {"t": T_POINT - 1, "novikov": 0, "q": M_POINT}
     assert summaries[0].is_zero
-
-
-def test_incompleteness_detected_on_degenerate_matrix():
-    ring, _, _, solution = _point_setup(t_order=3, q_order=1)
-    degenerate = solution.replace(matrix=zero_matrix(solution.spec, ring.rank))
-    assert is_complete(solution)
-    assert not is_complete(degenerate)
 
 
 def _oracle_qde_summaries(solution, fd):
