@@ -134,19 +134,19 @@ def _connection_defect(s_ij: TruncatedSeries, p_ij: TruncatedSeries, k: int,
                        window: SeriesSpec) -> TruncatedSeries:
     """dS/dt_k - P/(1-q) on window, from one entry of S and of P = (e_k *) S.
 
-    Along each row of fixed t and Novikov exponents the q^m coefficient of
-    P/(1-q) is the running sum of P's q^0..q^m ones, and dS/dt_k at e is
-    (e_k + 1) S[e + t_k], read from the untruncated S.  Only rows holding a
-    term are walked and only nonzero coefficients stored: nothing is copied."""
-    nt, top = window.num_t, window.t_order
-    rows = {exp[:-1] for exp in p_ij.nums if sum(exp[:nt]) <= top}
-    rows.update(exp[:k] + (exp[k] - 1,) + exp[k + 1:-1] for exp in s_ij.nums
-                if exp[k] and sum(exp[:nt]) <= top + 1)
+    Rows are exponents without their q slot: P's, and S's lowered by one in
+    t_k (none where t_k is 0).  Each row within the window's t order is walked
+    in q: P/(1-q) is a running sum of P, and dS/dt_k at e is (e_k + 1) S[e + t_k],
+    read from the untruncated S; only nonzero coefficients are stored."""
+    rows = {exp[:-1] for exp in p_ij.nums}
+    rows.update(exp[:k] + (exp[k] - 1,) + exp[k + 1:-1] for exp in s_ij.nums if exp[k])
     den = lcm(s_ij.den, p_ij.den)
     s_scale, p_scale = den // s_ij.den, den // p_ij.den
     s_get, p_get = s_ij.nums.get, p_ij.nums.get
-    out: dict[tuple[int, ...], int] = {}
+    nt, out = window.num_t, {}
     for base in rows:
+        if sum(base[:nt]) > window.t_order:
+            continue
         shifted = base[:k] + (base[k] + 1,) + base[k + 1:]
         factor, total = (base[k] + 1) * s_scale, 0
         for m in range(window.q_order + 1):
@@ -158,7 +158,7 @@ def _connection_defect(s_ij: TruncatedSeries, p_ij: TruncatedSeries, k: int,
 
 
 def qde_residual(solution: QDESolution, fd: FrobeniusData) -> list[ResidualSummary]:
-    """dS/dt_k minus 1/(1-q) times (e_k *) S, one summary per k."""
+    """dS/dt_k - 1/(1-q) (e_k *) S, one summary per k, scanning each entry as it is formed."""
     window = solution.spec.truncated(t_order=_aligned_window(solution, fd))
     # S is cut only to the product's order, so at full depth s is S itself.
     s = solution.matrix.within(solution.spec.truncated(
@@ -166,10 +166,10 @@ def qde_residual(solution: QDESolution, fd: FrobeniusData) -> list[ResidualSumma
     summaries = []
     for k, a in enumerate(fd.product):
         p = a.within(s.spec) * s
-        defect = SeriesMatrix(tuple(
-            tuple(_connection_defect(s_ij, p_ij, k, window) for s_ij, p_ij in zip(*rows))
-            for rows in zip(solution.matrix.entries, p.entries)))
-        summaries.append(residual_summary(matrix_pieces({"k": k}, defect), window))
+        summaries.append(residual_summary((
+            ({"k": k, "entry": [i, j]}, _connection_defect(s_ij, p_ij, k, window))
+            for i, rows in enumerate(zip(solution.matrix.entries, p.entries))
+            for j, (s_ij, p_ij) in enumerate(zip(*rows))), window))
     return summaries
 
 

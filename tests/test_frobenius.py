@@ -196,10 +196,13 @@ def golden_input(name):
     (P1, quantum_p1_table(), 9, 4),
     (P1, golden_input("frobenius_p1_degree_two"), 7, 2),
     (P2, golden_input("frobenius_p2_degree_two"), 6, 2),
-], ids=["perturbed-P2", "quantum-P1", "degree-two-P1", "degree-two-P2"])
+    (projective_space_kring(4), empty_table(
+        projective_space_kring(4), 1, {"type": "projective", "n": 4}), 8, 0),
+], ids=["perturbed-P2", "quantum-P1", "degree-two-P1", "degree-two-P2", "classical-P4"])
 def test_frobenius_data_is_one_matrix_per_class(ring, table, t_order, novikov_order):
     # Off classical data: a perturbed degree-zero entry, quantum P^1, and
-    # the degree-two tables of the CLI golden files, where WDVV fails.
+    # the degree-two tables of the CLI golden files, where WDVV fails; and
+    # classical P^4 at rank 5.
     potential = assemble_potential(table, t_order, novikov_order)
     gm = quantized_metric(potential)
     # Every term of G but g carries t or Q, so G is invertible at the origin.
@@ -212,6 +215,10 @@ def test_frobenius_data_is_one_matrix_per_class(ring, table, t_order, novikov_or
     for k in range(rank):
         assert fd.third[k] == gm.derivative(k)
         assert fd.product[k] == fd.third[k] * ginv3
+        # third[k] is symmetric in all three indices, so the product tensor
+        # is symmetric in its two lower ones.
+        for j in range(rank):
+            assert fd.product[k].entries[j] == fd.product[j].entries[k], (j, k)
     for ijk in combinations_with_replacement(range(rank), 3):
         first = fd.third[ijk[0]].entries[ijk[1]][ijk[2]]
         for i, j, k in permutations(ijk):

@@ -522,7 +522,26 @@ def test_every_operation_returns_canonical_numerators_matching_fractions(pair, s
         assert all(type(v) is Fraction for v in result.coeffs.values())
 
 
+class _Draws:
+    """Stands in for st.data() in an explicit example: returns the given
+    values in order, whatever strategy is drawn from."""
+
+    def __init__(self, *values):
+        self.values = iter(values)
+
+    def draw(self, strategy):
+        return next(self.values)
+
+
 @given(_mixed_pair(), st.data())
+# k = 1 and the window one below S's t order: S's top-layer term sits in a
+# row P lacks, reached only by lowering in t1, and P's t-degree-3 row lies
+# above the window.
+@example((TruncatedSeries(SMALL_SPEC, {(1, 2, 0, 1): Fraction(5, 7), (0, 1, 1, 0): -2,
+                                       (0, 0, 0, 0): 1}),
+          TruncatedSeries(SMALL_SPEC, {(2, 1, 0, 0): Fraction(-3, 4), (0, 0, 1, 1): 3,
+                                       (1, 0, 0, 0): 2})),
+         _Draws(1, 2))
 @settings(max_examples=120, deadline=None)
 def test_connection_defect_matches_oracle_composition(pair, data):
     """S and P over mixed denominators, with Novikov variables and two t
